@@ -36,6 +36,7 @@ import (
 	"tnpu"
 	"tnpu/internal/exp"
 	"tnpu/internal/memprot"
+	"tnpu/internal/multinpu"
 	"tnpu/internal/npu"
 )
 
@@ -127,6 +128,8 @@ func mainRun() int {
 		jhits, jmisses := r.MultiCacheStats()
 		fmt.Fprintf(os.Stderr, "layer memo: %d hits, %d misses; joint-run cache: %d hits, %d misses; cell cache: %d hits\n",
 			hits, misses, jhits, jmisses, r.Log().CacheHits())
+		paths := multinpu.PathTotals()
+		fmt.Fprintf(os.Stderr, "multi-NPU paths: %s\n", paths.String())
 		if r.MemoDir() != "" {
 			lm := r.LayerMemoStats()
 			st := r.CellStoreStats()

@@ -113,7 +113,9 @@ func (c *Cache) Access(addr uint64, write bool) Result {
 				hit.dirty = true
 			}
 			// Move to front (most-recently-used).
-			copy(set[1:i+1], set[:i])
+			if i > 0 {
+				copy(set[1:i+1], set[:i])
+			}
 			set[0] = hit
 			return Result{Hit: true}
 		}
@@ -292,3 +294,71 @@ func (c *Cache) Stats() *stats.CacheStats { return &c.stats }
 // ResetStats zeroes the counters without disturbing cache contents, so a
 // warm-up phase can be excluded from measurement.
 func (c *Cache) ResetStats() { c.stats = stats.CacheStats{} }
+
+// Touch promotes addr's line to most-recently-used without counting a
+// lookup, reporting whether the line was resident. It replays the LRU
+// effect of demand hits whose lookups a batched caller counts in bulk
+// (AddRunHits) when other lines of the set were accessed in between.
+func (c *Cache) Touch(addr uint64) bool {
+	tag := addr >> c.lineShift
+	set := c.lines[c.setIndex(tag)]
+	for i := range set {
+		if set[i].valid && set[i].tag == tag {
+			if i > 0 {
+				hit := set[i]
+				copy(set[1:i+1], set[:i])
+				set[0] = hit
+			}
+			return true
+		}
+	}
+	return false
+}
+
+// Victim reports, without touching state or statistics, the byte address
+// of the line an Access(addr) would evict right now; ok is false when
+// addr's line is resident or its set still has a free way.
+func (c *Cache) Victim(addr uint64) (victim uint64, ok bool) {
+	tag := addr >> c.lineShift
+	set := c.lines[c.setIndex(tag)]
+	for i := range set {
+		if set[i].valid && set[i].tag == tag {
+			return 0, false
+		}
+	}
+	if len(set) < c.ways {
+		return 0, false
+	}
+	return set[len(set)-1].tag << c.lineShift, true
+}
+
+// AccessAvoid is Access that refuses, touching nothing, when the access
+// would have to evict one of the lines at the byte addresses in avoid —
+// one set scan for both the check and the access.
+func (c *Cache) AccessAvoid(addr uint64, write bool, avoid []uint64) (res Result, refused bool) {
+	tag := addr >> c.lineShift
+	set := c.lines[c.setIndex(tag)]
+	for i := range set {
+		if set[i].valid && set[i].tag == tag {
+			hit := set[i]
+			if write {
+				hit.dirty = true
+			}
+			copy(set[1:i+1], set[:i])
+			set[0] = hit
+			c.stats.Lookups++
+			return Result{Hit: true}, false
+		}
+	}
+	if len(set) == c.ways {
+		victim := set[len(set)-1].tag << c.lineShift
+		for _, a := range avoid {
+			if a == victim {
+				return Result{}, true
+			}
+		}
+	}
+	c.stats.Lookups++
+	c.stats.Misses++
+	return c.allocate(tag, write), false
+}

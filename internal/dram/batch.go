@@ -292,3 +292,9 @@ func (c *channel) sameReadyRun(ready, m uint64) (lastDone uint64) {
 	c.busyUntil = start + cycles
 	return c.busyUntil
 }
+
+// Oldest returns the clear time of the oldest outstanding request — the
+// gate the next request waits for.
+//
+//tnpu:pure
+func (w *IssueWindow) Oldest() uint64 { return w.slots[w.idx] }

@@ -63,11 +63,13 @@ func (b *Bus) RestoreCanon(src []byte, base uint64) []byte {
 		c.maxGapEnd = v + base
 		ng, src = canon.U64(src)
 		c.gaps = c.gaps[:0]
+		c.wide = 0
 		for k := uint64(0); k < ng; k++ {
 			var s, e uint64
 			s, src = canon.U64(src)
 			e, src = canon.U64(src)
 			c.gaps = append(c.gaps, gap{s + base, e + base})
+			c.markWide(len(c.gaps) - 1)
 		}
 	}
 	return src

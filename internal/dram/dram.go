@@ -9,6 +9,7 @@ package dram
 
 import (
 	"fmt"
+	"math/bits"
 )
 
 // BlockBytes is the memory block (cache line) granularity used throughout
@@ -86,6 +87,15 @@ type channel struct {
 	// can skip the gap scan: any such request starts at or after every
 	// gap's end and cannot fit inside one).
 	maxGapEnd uint64
+	// wide has bit i set when gaps[i] is at least q64 cycles long: only
+	// those can hold a block transfer (which costs q64 or q64+1 cycles),
+	// so block requests scan just them, in list order.
+	wide uint64 //tnpu:canonskip derived from gaps, rebuilt by RestoreCanon
+	// q64/r64 split one block's tick count, BlockBytes*num = q64*den +
+	// r64, so a block charge needs no division: r64 and the carried
+	// remainder are both below den, so their sum carries at most once.
+	q64 uint64 //tnpu:canonskip derived from num/den at construction, immutable
+	r64 uint64 //tnpu:canonskip derived from num/den at construction, immutable
 }
 
 type gap struct{ start, end uint64 }
@@ -93,6 +103,9 @@ type gap struct{ start, end uint64 }
 // maxGaps bounds the remembered idle windows; older gaps are forgotten
 // (slightly pessimistic, never optimistic).
 const maxGaps = 64
+
+// wide holds one bit per remembered gap.
+var _ [64 - maxGaps]struct{}
 
 // NewBus constructs a bus from cfg. It panics on invalid configuration
 // because configs are compile-time constants in this simulator.
@@ -109,13 +122,18 @@ func NewBus(cfg Config) *Bus {
 	b := &Bus{latency: cfg.LatencyCycles, aggNum: num, aggDen: den, chans: make([]channel, n)}
 	for i := range b.chans {
 		// Each channel serves 1/n of the bandwidth: n x the cycles/byte.
-		b.chans[i] = channel{num: num * uint64(n) / g, den: den / g}
+		c := channel{num: num * uint64(n) / g, den: den / g}
+		c.q64, c.r64 = BlockBytes*c.num/c.den, BlockBytes*c.num%c.den
+		b.chans[i] = c
 	}
 	return b
 }
 
 // route maps a block address to its interleaved channel.
 func (b *Bus) route(addr uint64) *channel {
+	if len(b.chans) == 1 {
+		return &b.chans[0]
+	}
 	return &b.chans[(addr/BlockBytes)%uint64(len(b.chans))]
 }
 
@@ -152,41 +170,39 @@ func (c *channel) transfer(ready, bytes uint64) (done uint64) {
 		// or disturbing the carried remainder.
 		return ready
 	}
-	ticks := bytes*c.num + c.rem
-	cycles := ticks / c.den
-	c.rem = ticks % c.den
+	var cycles uint64
+	if bytes == BlockBytes {
+		cycles = c.q64
+		c.rem += c.r64
+		if c.rem >= c.den {
+			c.rem -= c.den
+			cycles++
+		}
+	} else {
+		ticks := bytes*c.num + c.rem
+		cycles = ticks / c.den
+		c.rem = ticks % c.den
+	}
 	c.bytesMoved += bytes
 	c.busyCycles += cycles
 
-	// Try to serve inside an idle gap. Skipped outright when ready is past
-	// every gap's end — such a request starts after every gap closes and
-	// cannot fit inside one (a zero-cycle transfer can still land exactly
-	// at a gap's end, hence <=).
+	// Try to serve inside an idle gap, the first that fits in list order.
+	// Skipped outright when ready is past every gap's end — such a request
+	// starts after every gap closes and cannot fit inside one (a zero-cycle
+	// transfer can still land exactly at a gap's end, hence <=).
 	if ready <= c.maxGapEnd {
-		for i := range c.gaps {
-			g := &c.gaps[i]
-			start := ready
-			if g.start > start {
-				start = g.start
-			}
-			if start+cycles <= g.end {
-				end := start + cycles
-				switch {
-				case start == g.start && end == g.end:
-					c.gaps = append(c.gaps[:i], c.gaps[i+1:]...)
-				case start == g.start:
-					g.start = end
-				case end == g.end:
-					g.end = start
-				default:
-					// Split: keep the earlier half here, append the later.
-					later := gap{end, g.end}
-					g.end = start
-					if len(c.gaps) < maxGaps {
-						c.gaps = append(c.gaps, later)
-					}
+		if bytes == BlockBytes {
+			for m := c.wide; m != 0; m &= m - 1 {
+				i := bits.TrailingZeros64(m)
+				if start := max(ready, c.gaps[i].start); start+cycles <= c.gaps[i].end {
+					return c.useGap(i, start, cycles)
 				}
-				return end
+			}
+		} else {
+			for i := range c.gaps {
+				if start := max(ready, c.gaps[i].start); start+cycles <= c.gaps[i].end {
+					return c.useGap(i, start, cycles)
+				}
 			}
 		}
 	}
@@ -202,13 +218,53 @@ func (c *channel) transfer(ready, bytes uint64) (done uint64) {
 	return c.busyUntil
 }
 
+// useGap serves a cycles-long request starting at start inside gaps[i]
+// (where it fits), trimming, splitting, or removing the gap, and returns
+// the request's end.
+func (c *channel) useGap(i int, start, cycles uint64) uint64 {
+	g := &c.gaps[i]
+	end := start + cycles
+	switch {
+	case start == g.start && end == g.end:
+		c.gaps = append(c.gaps[:i], c.gaps[i+1:]...)
+		c.wide = c.wide&(1<<uint(i)-1) | c.wide>>uint(i+1)<<uint(i)
+		return end
+	case start == g.start:
+		g.start = end
+	case end == g.end:
+		g.end = start
+	default:
+		// Split: keep the earlier half here, append the later.
+		later := gap{end, g.end}
+		g.end = start
+		if len(c.gaps) < maxGaps {
+			c.gaps = append(c.gaps, later)
+			c.markWide(len(c.gaps) - 1)
+		}
+	}
+	c.markWide(i)
+	return end
+}
+
+// markWide sets gaps[i]'s bit in wide from its current length.
+func (c *channel) markWide(i int) {
+	bit := uint64(1) << uint(i)
+	if g := c.gaps[i]; g.end-g.start >= c.q64 {
+		c.wide |= bit
+	} else {
+		c.wide &^= bit
+	}
+}
+
 // recordGap remembers the idle window [start, end), evicting the oldest
 // entry at capacity and maintaining the gap-end upper bound.
 func (c *channel) recordGap(start, end uint64) {
 	if len(c.gaps) == maxGaps {
 		c.gaps = c.gaps[1:]
+		c.wide >>= 1
 	}
 	c.gaps = append(c.gaps, gap{start, end})
+	c.markWide(len(c.gaps) - 1)
 	if end > c.maxGapEnd {
 		c.maxGapEnd = end
 	}
@@ -253,6 +309,8 @@ func (b *Bus) BusyCycles() uint64 {
 }
 
 // Channels returns the channel count.
+//
+//tnpu:pure
 func (b *Bus) Channels() int { return len(b.chans) }
 
 // Utilization returns busy/(horizon*channels), or 0 before any traffic.

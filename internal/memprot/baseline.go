@@ -51,6 +51,7 @@ type baseline struct {
 	// allocates nothing.
 	cur   dram.SpanCursor //tnpu:canonskip per-call scratch cursor, no state across calls
 	sweep cache.Sweep     //tnpu:canonskip per-call scratch resolver, no state across calls
+	jr    jointRun        //tnpu:canonskip per-call joint-run scratch, no state across calls
 }
 
 func newBaseline(cfg Config) *baseline {

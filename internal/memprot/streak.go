@@ -25,6 +25,12 @@ import (
 // itself.
 const streakMinBlocks = 24
 
+// metaCharger appends metadata block charges at the channel horizon and
+// returns the new horizon: a SpanCursor inside one engine run, or a
+// JointCursor inside a co-tenant joint run (joint.go). The streak helpers
+// below serve both.
+type metaCharger interface{ Meta(k int) uint64 }
+
 // --- tree-less (TNPU): the whole run is one streak ---
 
 // macLineCount returns how many MAC lines the run [addr, addr+n*64) covers.
@@ -343,9 +349,10 @@ func (b *baseline) ctrSimple(addr, rLow uint64) bool {
 
 // ctrStreakAccess is counterAccessRun inside a streak. The chunk was
 // pre-classified by ctrSimple, so a miss's walk is exactly one counter
-// fetch verified against a resident level-1 ancestor, on a free MSHR,
-// with any dirty-victim writeback absorbed by a resident hash parent. //tnpu:noalloc
-func (b *baseline) ctrStreakAccess(cur *dram.SpanCursor, rB, addr, count uint64, write bool) uint64 {
+// fetch verified against a resident level-1 ancestor, on an MSHR free by
+// the time the fetch is charged at the horizon, with any dirty-victim
+// writeback absorbed by a resident hash parent. //tnpu:noalloc
+func (b *baseline) ctrStreakAccess(cur metaCharger, rB, addr, count uint64, write bool) uint64 {
 	lineIdx, _ := b.geo.CounterIndex(addr / dram.BlockBytes)
 	res := b.counter.Access(b.geo.NodeAddr(0, lineIdx), write)
 	b.counter.AddRunHits(count - 1)
@@ -410,7 +417,7 @@ func (b *baseline) macSweepAccess(cur *dram.SpanCursor, rB, count uint64, res ca
 }
 
 // macStreakCharge applies one MAC-line outcome's traffic and charges. //tnpu:noalloc
-func (b *baseline) macStreakCharge(cur *dram.SpanCursor, rB, count uint64, res cache.Result, write bool) uint64 {
+func (b *baseline) macStreakCharge(cur metaCharger, rB, count uint64, res cache.Result, write bool) uint64 {
 	if res.Writeback {
 		b.traffic.AddWrite(stats.MAC, dram.BlockBytes)
 		cur.Meta(1)

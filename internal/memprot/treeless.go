@@ -45,6 +45,7 @@ type treeless struct {
 	cur    dram.SpanCursor //tnpu:canonskip per-call scratch cursor, no state across calls
 	sweep  cache.Sweep     //tnpu:canonskip per-call scratch resolver, no state across calls
 	macOut []cache.Result  //tnpu:canonskip reused per-call outcome buffer, contents dead between calls
+	jr     jointRun        //tnpu:canonskip per-call joint-run scratch, no state across calls
 
 	// Version-table path: the table is CPU-enclave data, so accesses hit
 	// the CPU cache hierarchy; vcache models that residency (the tables

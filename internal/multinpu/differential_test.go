@@ -249,6 +249,83 @@ func buildMultiFuzzProgram(f *fuzzReader) *compiler.Program {
 	return &compiler.Program{Trace: tr}
 }
 
+// decodeMultiFuzz derives a co-tenant set from fuzz bytes: memory
+// geometry, scheme, NPU count, identical-vs-distinct tenants, and the
+// programs themselves.
+func decodeMultiFuzz(data []byte) ([]*compiler.Program, memprot.Scheme, npu.Config) {
+	fr := &fuzzReader{data: data}
+	mem := dram.Config{
+		FreqHz:               []uint64{1_000_000_000, 2_750_000_000, 3_000_000_000}[fr.byte()%3],
+		BandwidthBytesPerSec: []uint64{7_000_000_000, 11_000_000_000, 22_000_000_000}[fr.byte()%3],
+		LatencyCycles:        []uint64{0, 10, 100}[fr.byte()%3],
+		Channels:             int(fr.byte()%4) + 1,
+	}
+	scheme := memprot.AllSchemes()[fr.byte()%4]
+	count := 2 + int(fr.byte()%2)
+	identical := fr.byte()%2 == 0
+	progs := make([]*compiler.Program, count)
+	progs[0] = buildMultiFuzzProgram(fr)
+	for i := 1; i < count; i++ {
+		if identical {
+			progs[i] = progs[0]
+		} else {
+			progs[i] = buildMultiFuzzProgram(fr)
+		}
+	}
+	cfg := npu.SmallNPU()
+	cfg.Mem = mem
+	return progs, scheme, cfg
+}
+
+// jointEdgeSeeds are FuzzMultiVsBlock seeds at the joint path's edges;
+// TestJointEdgeSeeds checks that each one reaches the edge it names. The
+// byte layout is decodeMultiFuzz's: mem geometry (freq, bandwidth,
+// latency, channels), scheme, count, identical, then per program an
+// instruction count and buildMultiFuzzProgram's per-op fields.
+var jointEdgeSeeds = []struct {
+	name string
+	data []byte
+	hit  func(ps *PathStats) bool
+}{
+	{"k2-identical-instr-end-mid-period", []byte{1, 1, 2, 0, 2, 0, 0, 1,
+		6, 1, 0, 1, 0x03, 0x00, 0x00, 0x00,
+		6, 2, 1, 1, 0x05, 0x00, 0x10, 0x00, 1,
+		3, 4, 0, 1, 0, 0x20, 0x00, 0x1f, 0xff, 1},
+		func(ps *PathStats) bool { return ps.JointEnds[memprot.JointInstrEnd] > 0 }},
+	{"k2-distinct", []byte{1, 1, 2, 0, 2, 0, 1,
+		1, 6, 1, 0, 1, 0x03, 0x00, 0x00, 0x00, 6, 2, 1, 1, 0x05, 0x00, 0x10, 0x00, 1, 3, 4, 0, 1, 0, 0x20, 0x00, 0x1f, 0xff, 1,
+		0, 6, 1, 0, 1, 0x04, 0x00, 0x00, 0x40, 6, 2, 1, 1, 0x02, 0x00, 0x20, 0x00, 1},
+		func(ps *PathStats) bool { return ps.JointRuns > 0 }},
+	{"k3-distinct-horizon", []byte{1, 1, 2, 0, 2, 1, 1,
+		1, 6, 1, 0, 1, 0x03, 0x00, 0x00, 0x00, 6, 2, 1, 1, 0x05, 0x00, 0x10, 0x00, 1, 3, 4, 0, 1, 0, 0x20, 0x00, 0x1f, 0xff, 1,
+		0, 6, 1, 0, 1, 0x04, 0x00, 0x00, 0x40, 6, 2, 1, 1, 0x02, 0x00, 0x20, 0x00, 1,
+		1, 6, 3, 0, 1, 0x02, 0x00, 0x00, 0x80, 5, 0x10, 0x00, 1, 0, 4, 1, 1, 1, 0x30, 0x00, 0x10, 0x00, 1},
+		func(ps *PathStats) bool { return ps.JointEnds[memprot.JointAboveHorizon] > 0 }},
+	{"two-channels-refuse", []byte{1, 1, 2, 1, 2, 0, 0, 1,
+		6, 1, 0, 1, 0x03, 0x00, 0x00, 0x00,
+		6, 2, 1, 1, 0x05, 0x00, 0x10, 0x00, 1,
+		3, 4, 0, 1, 0, 0x20, 0x00, 0x1f, 0xff, 1},
+		func(ps *PathStats) bool { return ps.JointRuns == 0 && ps.Fallbacks[memprot.JointMultiChannel] > 0 }},
+	{"baseline-level1-ancestor-miss", []byte{1, 1, 2, 0, 1, 0, 0, 0,
+		6, 1, 0, 1, 0x07, 0x00, 0x0f, 0xf8,
+		6, 2, 1, 1, 0x07, 0x00, 0x1f, 0xf0, 1},
+		func(ps *PathStats) bool {
+			return ps.JointEnds[memprot.JointGuard]+ps.Fallbacks[memprot.JointGuard] > 0
+		}},
+	{"baseline-write-hammer-wraps", []byte{1, 1, 2, 0, 1, 0, 0, 0,
+		6, 1, 0, 1, 0x03, 0x00, 0x00, 0x00,
+		7, 2, 1, 1, 0x00, 0x40, 0x00, 0x1f, 2, 1},
+		func(ps *PathStats) bool {
+			return ps.JointEnds[memprot.JointOverflow]+ps.Fallbacks[memprot.JointOverflow] > 0
+		}},
+	{"k3-identical-overflow-pending", []byte{1, 1, 2, 0, 1, 1, 0, 2,
+		6, 1, 0, 1, 0x03, 0x00, 0x00, 0x00,
+		7, 2, 1, 1, 0x00, 0x40, 0x00, 0x1f, 1, 1,
+		6, 3, 0, 1, 0x02, 0x00, 0x00, 0x10, 1,
+		7, 2, 1, 1, 0x00, 0x40, 0x00, 0x1f, 0, 1},
+		func(ps *PathStats) bool { return ps.Fallbacks[memprot.JointOverflow] > 0 }},
+}
+
 // FuzzMultiVsBlock drives random co-tenant sets, memory geometries, and
 // NPU counts through both arbitration loops and requires exact agreement
 // on every observable (except the Runs counter). Identical programs give
@@ -260,28 +337,13 @@ func FuzzMultiVsBlock(f *testing.F) {
 	f.Add([]byte{2, 1, 1, 1, 6, 0, 4, 0, 0, 1, 0, 64, 5, 0, 10})
 	f.Add([]byte{0xff, 0x80, 0x41, 0x00, 0x13, 0x37, 0xca, 0xfe, 0x00, 0x01, 0x02, 0x03})
 	f.Add([]byte{3, 3, 3, 3, 200, 200, 200, 200, 9, 9, 9, 9, 9, 9, 9, 9, 9, 9})
+	for _, s := range jointEdgeSeeds {
+		f.Add(s.data)
+	}
 	f.Fuzz(func(t *testing.T, data []byte) {
-		fr := &fuzzReader{data: data}
-		mem := dram.Config{
-			FreqHz:               []uint64{1_000_000_000, 2_750_000_000, 3_000_000_000}[fr.byte()%3],
-			BandwidthBytesPerSec: []uint64{7_000_000_000, 11_000_000_000, 22_000_000_000}[fr.byte()%3],
-			LatencyCycles:        []uint64{0, 10, 100}[fr.byte()%3],
-			Channels:             int(fr.byte()%4) + 1,
-		}
-		scheme := memprot.AllSchemes()[fr.byte()%4]
-		count := 2 + int(fr.byte()%2)
-		identical := fr.byte()%2 == 0
-		progs := make([]*compiler.Program, count)
-		progs[0] = buildMultiFuzzProgram(fr)
-		for i := 1; i < count; i++ {
-			if identical {
-				progs[i] = progs[0]
-			} else {
-				progs[i] = buildMultiFuzzProgram(fr)
-			}
-		}
-		cfg := npu.SmallNPU()
-		cfg.Mem = mem
+		progs, scheme, cfg := decodeMultiFuzz(data)
+		count, mem := len(progs), cfg.Mem
+		identical := count > 1 && progs[1] == progs[0]
 
 		ForceBlockInterleave(true)
 		ref, errRef := RunMixed(progs, scheme, cfg)
@@ -298,6 +360,25 @@ func FuzzMultiVsBlock(f *testing.F) {
 				scheme, count, identical, mem, want, got)
 		}
 	})
+}
+
+// TestJointEdgeSeeds checks that every joint-edge fuzz seed is equivalent
+// to the block reference and reaches the edge it is named for, so the
+// seeds keep covering those edges as the fast path evolves.
+func TestJointEdgeSeeds(t *testing.T) {
+	for _, s := range jointEdgeSeeds {
+		t.Run(s.name, func(t *testing.T) {
+			progs, scheme, cfg := decodeMultiFuzz(s.data)
+			diffMulti(t, progs, scheme, cfg)
+			var ps PathStats
+			if _, err := runMixed(progs, scheme, cfg, nil, &ps); err != nil {
+				t.Fatal(err)
+			}
+			if !s.hit(&ps) {
+				t.Fatalf("seed does not reach its edge: %s", ps.String())
+			}
+		})
+	}
 }
 
 // --- allocation pin --------------------------------------------------------
@@ -352,6 +433,31 @@ func TestMultiNPUNoAllocs(t *testing.T) {
 			}
 			if avg := testing.AllocsPerRun(100, step); avg != 0 {
 				t.Errorf("arbitration iteration allocates %.1f times per step", avg)
+			}
+		})
+		// The same pin through the production step, which offers contended
+		// scans to the engine's joint path: the measured steps must take it.
+		t.Run("joint/"+scheme.String(), func(t *testing.T) {
+			bus := dram.NewBus(cfg.Mem)
+			eng, err := memprot.New(scheme, memprot.DefaultConfig(bus))
+			if err != nil {
+				t.Fatal(err)
+			}
+			machines := make([]*npu.Machine, 2)
+			for i := range machines {
+				machines[i] = npu.NewMachineAt(prog, eng, uint64(i)*contextStride, uint64(i)*slotStride)
+			}
+			var ps PathStats
+			a := arbiter{bus: bus, machines: machines, je: eng.(memprot.JointEngine), ps: &ps, backoff: 1}
+			for i := 0; i < 200; i++ { // warm caches, windows, and the joint cursor
+				a.step()
+			}
+			before := ps.JointRuns
+			if avg := testing.AllocsPerRun(100, func() { a.step() }); avg != 0 {
+				t.Errorf("joint arbitration step allocates %.1f times per step", avg)
+			}
+			if ps.JointRuns == before {
+				t.Errorf("no measured step took the joint path (%s)", ps.String())
 			}
 		})
 	}

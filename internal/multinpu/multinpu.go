@@ -106,15 +106,19 @@ func RunMixedCached(progs []*compiler.Program, scheme memprot.Scheme, cfg npu.Co
 	if res, ok := cache.lookup(progs, scheme, cfg); ok {
 		return res, nil
 	}
-	res, err := runMixed(progs, scheme, cfg, memo)
+	var ps PathStats
+	res, err := runMixed(progs, scheme, cfg, memo, &ps)
 	if err != nil {
 		return Result{}, err
 	}
+	totals.add(&ps)
 	cache.store(progs, scheme, cfg, &res)
 	return res, nil
 }
 
-func runMixed(progs []*compiler.Program, scheme memprot.Scheme, cfg npu.Config, memo *npu.LayerMemo) (Result, error) {
+// runMixed simulates one co-tenant set; ps receives the execution-path
+// counters.
+func runMixed(progs []*compiler.Program, scheme memprot.Scheme, cfg npu.Config, memo *npu.LayerMemo, ps *PathStats) (Result, error) {
 	count := len(progs)
 	if count == 0 {
 		return Result{}, fmt.Errorf("multinpu: no programs")
@@ -150,8 +154,10 @@ func runMixed(progs []*compiler.Program, scheme memprot.Scheme, cfg npu.Config, 
 	if forceBlockInterleave.Load() || !machines[0].Batched() {
 		arbitrateBlocks(machines)
 	} else {
-		arbitrate(machines)
+		je, _ := eng.(memprot.JointEngine)
+		arbitrate(bus, machines, je, ps)
 	}
+	ps.note(machines)
 	return assemble(scheme, eng, machines), nil
 }
 
@@ -167,32 +173,143 @@ func runMixed(progs []*compiler.Program, scheme memprot.Scheme, cfg npu.Config, 
 // the reference's. Ties rotate as in the reference: the winner keeps
 // serving only while strictly below every other ready time.
 //
+// A contended scan that passes jointAdmit first offers the instructions of
+// the gate-dominated machines to the engine's joint path (je may be nil),
+// which serves their saturated window in the reference's FIFO order —
+// across instruction ends while the machines stay in it — bounded by the
+// earliest ready time of the other active machines. Every contended scan
+// it does not take counts as a fallback in ps, by reason; engine refusals
+// back off exponentially so a persistent refusal costs O(1) amortized per
+// scan.
+//
 //tnpu:noalloc
-func arbitrate(machines []*npu.Machine) {
-	count := len(machines)
-	last := 0
-	for {
-		best, bestReady := -1, ^uint64(0)
-		horizon := ^uint64(0)
-		for off := 1; off <= count; off++ {
-			i := (last + off) % count
-			ready, ok := machines[i].NextReady()
-			if !ok {
-				continue
-			}
-			if ready < bestReady {
-				horizon = bestReady
-				best, bestReady = i, ready
-			} else if ready < horizon {
-				horizon = ready
-			}
-		}
-		if best < 0 {
-			break
-		}
-		machines[best].ServeRunUntil(horizon)
-		last = best
+func arbitrate(bus *dram.Bus, machines []*npu.Machine, je memprot.JointEngine, ps *PathStats) {
+	a := arbiter{bus: bus, machines: machines, je: je, ps: ps, backoff: 1}
+	for a.step() {
 	}
+}
+
+// arbiter is the state of one horizon-bounded arbitration loop.
+type arbiter struct {
+	bus      *dram.Bus
+	machines []*npu.Machine
+	je       memprot.JointEngine
+	ps       *PathStats
+	last     int // the machine served last (ties rotate from it)
+	cl       [dram.MaxJointClients]memprot.JointClient
+	who      [dram.MaxJointClients]int
+	// Joint refusal backoff: scans left to skip, the next skip length,
+	// and the refusal that armed it.
+	skip, backoff int
+	held          memprot.JointStop
+}
+
+// step performs one scan and serves its winner, reporting false once
+// every machine is exhausted.
+//
+//tnpu:noalloc
+func (a *arbiter) step() bool {
+	count := len(a.machines)
+	best, bestReady := -1, ^uint64(0)
+	horizon := ^uint64(0)
+	active := 0
+	for off := 1; off <= count; off++ {
+		i := (a.last + off) % count
+		ready, ok := a.machines[i].NextReady()
+		if !ok {
+			continue
+		}
+		active++
+		if ready < bestReady {
+			horizon = bestReady
+			best, bestReady = i, ready
+		} else if ready < horizon {
+			horizon = ready
+		}
+	}
+	if best < 0 {
+		return false
+	}
+	if active >= 2 && a.je != nil {
+		reason := a.held
+		if a.skip > 0 {
+			a.skip--
+		} else if reason = jointAdmit(a.bus, a.machines); reason == memprot.JointOK {
+			if reason = a.joint(); reason == memprot.JointOK {
+				return true
+			}
+			a.held = reason
+			a.skip = a.backoff
+			if a.backoff < maxJointBackoff {
+				a.backoff *= 2
+			}
+		}
+		a.ps.Fallbacks[reason]++
+	}
+	a.machines[best].ServeRunUntil(horizon)
+	a.last = best
+	return true
+}
+
+// joint hands the gate-dominated machines' instructions to the engine's
+// joint path, bounded by the other active machines' earliest ready time,
+// and folds the outcome back. It returns JointOK when the run served
+// blocks, else the engine's refusal (nothing was served).
+//
+//tnpu:noalloc
+func (a *arbiter) joint() memprot.JointStop {
+	n, outside := 0, ^uint64(0)
+	for i, m := range a.machines {
+		ready, gate, ok := m.Gate()
+		switch {
+		case !ok:
+		case ready == gate && n < dram.MaxJointClients && m.JointClient(&a.cl[n]):
+			a.who[n] = i
+			n++
+		case ready < outside:
+			outside = ready
+		}
+	}
+	stop, last := a.je.JointRun(a.cl[:n], outside)
+	if last < 0 {
+		return stop
+	}
+	for c := 0; c < n; c++ {
+		a.machines[a.who[c]].JointApply(&a.cl[c])
+	}
+	a.ps.JointRuns++
+	a.ps.JointEnds[stop]++
+	a.last = a.who[last]
+	a.backoff = 1
+	return memprot.JointOK
+}
+
+// maxJointBackoff caps the contended scans skipped after an engine-side
+// joint refusal, so a refusal that clears is retried soon.
+const maxJointBackoff = 64
+
+// jointAdmit is the cheap half of the joint path's admission predicate,
+// checked on every contended scan: a single-channel bus, and at least two
+// machines gate-dominated — mid-instruction with their next issue at their
+// own window's oldest clear, hence at or below the bus horizon. The other
+// active machines bound the run by their earliest ready time; the engine's
+// BeginJointRun checks the rest: strictly rising, tie-free window clears,
+// no backfillable gap, q >= 1.
+// //tnpu:guard //tnpu:pure
+func jointAdmit(bus *dram.Bus, machines []*npu.Machine) memprot.JointStop {
+	if bus.Channels() != 1 {
+		return memprot.JointMultiChannel
+	}
+	dominated := 0
+	for _, m := range machines {
+		if ready, gate, ok := m.Gate(); ok && ready == gate {
+			dominated++
+		}
+	}
+	if dominated < 2 {
+		return memprot.JointNotSaturated
+	}
+	return memprot.JointOK
 }
 
 // arbitrateBlocks is the retained block-granular reference: always serve

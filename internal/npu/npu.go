@@ -99,6 +99,8 @@ type Machine struct {
 	segEnd    uint64
 	issueAt   uint64
 	maxDataAt uint64
+	// blocksLeft counts the active instruction's unserved blocks.
+	blocksLeft uint64
 
 	// window is the DMA engine's outstanding-request window: block i may
 	// issue once block i-dmaOutstanding has cleared its channel, so
@@ -132,6 +134,12 @@ type Machine struct {
 	blocksRead    uint64
 	blocksWritten uint64
 	runsServed    uint64
+	// Blocks served by the joint co-tenant path, by whole-run bursts, and
+	// by ServeBlock. Observability only, like runsServed, and kept out of
+	// every persisted result.
+	blocksJoint uint64
+	blocksBurst uint64
+	blocksStep  uint64
 
 	dataOffset uint64
 	slotOffset uint64
@@ -271,6 +279,10 @@ func (m *Machine) startDMA(idx int, in *isa.Instr) {
 	m.segIdx = 0
 	m.issueAt = start
 	m.maxDataAt = start
+	m.blocksLeft = 0
+	for _, seg := range in.Segments {
+		m.blocksLeft += memprot.SegmentBlocks(seg.Addr&^(dram.BlockBytes-1), seg.Addr+seg.Bytes)
+	}
 	m.loadSegment()
 }
 
@@ -300,6 +312,8 @@ func (m *Machine) ServeBlock() {
 		m.blocksWritten++
 	}
 	m.blocksMoved++
+	m.blocksStep++
+	m.blocksLeft--
 	next := m.noteIssue(busFree)
 	if next < m.issueAt+1 {
 		next = m.issueAt + 1
@@ -353,6 +367,7 @@ func (m *Machine) ServeRun() {
 		}
 		m.runsServed++
 		m.blocksMoved += uint64(n)
+		m.blocksBurst += uint64(n)
 		m.issueAt = next
 		if dataAt > m.maxDataAt {
 			m.maxDataAt = dataAt
@@ -363,6 +378,7 @@ func (m *Machine) ServeRun() {
 		}
 		m.loadSegment()
 	}
+	m.blocksLeft = 0
 	m.retire(m.active, m.maxDataAt)
 	m.dmaFree = m.issueAt
 	m.active = -1
@@ -426,8 +442,14 @@ func (m *Machine) ServeRunUntil(horizon uint64) {
 func (m *Machine) tryRunBelow(horizon uint64) bool {
 	in := &m.prog.Trace.Instrs[m.active]
 	write := in.Op != isa.OpMvIn
-	base := max64(m.issueAt, m.window.MaxSlot())
-	if b := m.bounder.RunBoundBase(); b > base {
+	// The bound base is a max, so the O(1) engine term alone can refuse
+	// before the O(depth) window scan — and in the saturated regime, where
+	// every ready time is at or below the bus horizon, it always does.
+	base := m.bounder.RunBoundBase()
+	if base >= horizon {
+		return false
+	}
+	if b := max64(m.issueAt, m.window.MaxSlot()); b > base {
 		base = b
 	}
 	if base >= horizon {
@@ -468,6 +490,80 @@ func (m *Machine) tryRunBelow(horizon uint64) bool {
 		panic("npu: run burst exceeded its closed-form horizon bound") //tnpu:allocok (invariant violation; never reached in steady state)
 	}
 	return true
+}
+
+// Gate reports the active DMA instruction's next issue time and the gate
+// its issue window imposes (the oldest outstanding block's clear); ok is
+// false when no instruction is active. ready == gate means the machine is
+// gate-dominated: the bus, not its own issue rate, sets its pace.
+//
+//tnpu:pure
+func (m *Machine) Gate() (ready, gate uint64, ok bool) {
+	if m.active < 0 {
+		return 0, 0, false
+	}
+	return m.issueAt, m.window.Oldest(), true
+}
+
+// JointClient fills cl with the active DMA instruction's cursor for a
+// co-tenant joint run (memprot.JointEngine); ok is false when the machine
+// is between instructions or exhausted.
+func (m *Machine) JointClient(cl *memprot.JointClient) bool {
+	if m.active < 0 || !m.batched {
+		return false
+	}
+	in := &m.prog.Trace.Instrs[m.active]
+	*cl = memprot.JointClient{
+		Segs: in.Segments, Seg: m.segIdx, Addr: m.blockAddr, End: m.segEnd,
+		Offset: m.dataOffset, Version: in.Version, Write: in.Op != isa.OpMvIn,
+		Window: m.window, Issue: m.issueAt, MaxDataAt: m.maxDataAt, Rem: m.blocksLeft,
+		Src: m,
+	}
+	return true
+}
+
+// JointNext folds a joint run's completed instruction into the machine
+// and starts the next DMA instruction, as the arbiter's next scan would,
+// refilling cl for it (memprot.JointSource). It reports false when the
+// machine has no instruction left.
+func (m *Machine) JointNext(cl *memprot.JointClient) bool {
+	m.JointApply(cl)
+	if _, ok := m.NextReady(); !ok {
+		cl.Blocks, cl.Done = 0, false
+		return false
+	}
+	return m.JointClient(cl)
+}
+
+// JointApply folds a joint run's outcome for this machine back into its
+// cursor and counters, retiring the instruction when the run completed it
+// — the state ServeBlock would have reached after the same blocks.
+func (m *Machine) JointApply(cl *memprot.JointClient) {
+	if cl.Blocks == 0 && !cl.Done {
+		return // nothing served: the cursor is the machine's own
+	}
+	if cl.Write {
+		m.blocksWritten += cl.Blocks
+	} else {
+		m.blocksRead += cl.Blocks
+	}
+	m.blocksMoved += cl.Blocks
+	m.blocksJoint += cl.Blocks
+	m.blocksLeft -= cl.Blocks
+	m.issueAt, m.maxDataAt = cl.Issue, cl.MaxDataAt
+	m.blockAddr, m.segEnd, m.segIdx = cl.Addr, cl.End, cl.Seg
+	if cl.Done {
+		m.retire(m.active, m.maxDataAt)
+		m.dmaFree = m.issueAt
+		m.active = -1
+	}
+}
+
+// PathBlocks splits BlocksMoved by execution path: the co-tenant joint
+// path, whole-run bursts (ServeRun), and single-block service
+// (ServeBlock).
+func (m *Machine) PathBlocks() (joint, burst, block uint64) {
+	return m.blocksJoint, m.blocksBurst, m.blocksStep
 }
 
 // Run drives the machine to completion (single-NPU operation).
