@@ -19,7 +19,7 @@
 //	/api/cell     one simulation cell as JSON
 //	/api/figure/  paper figures as JSON or SVG
 //	/api/sweep/   sensitivity sweeps as JSON
-//	/stats        cache, memo, queue, and runtime counters
+//	/stats        cache, cell-store, queue, and runtime counters
 //	/events       SSE stream of completed-cell progress
 //	/healthz      liveness
 package main
@@ -45,13 +45,33 @@ func main() {
 	os.Exit(run())
 }
 
+// Connection timeouts. A client gets readHeaderTimeout to send its request
+// headers, and an idle keep-alive connection is closed after idleTimeout.
+const (
+	readHeaderTimeout = 10 * time.Second
+	idleTimeout       = 2 * time.Minute
+)
+
+// newHTTPServer wraps h in an http.Server with the connection timeouts
+// set. There is deliberately no WriteTimeout: /events streams SSE for as
+// long as the client listens, and a cold sweep or figure request computes
+// for seconds before its first byte, so any write deadline would cut off
+// legitimate responses.
+func newHTTPServer(h http.Handler) *http.Server {
+	return &http.Server{
+		Handler:           h,
+		ReadHeaderTimeout: readHeaderTimeout,
+		IdleTimeout:       idleTimeout,
+	}
+}
+
 func run() int {
 	addrFlag := flag.String("addr", ":8080", "listen address (host:port; port 0 picks an ephemeral port)")
 	cacheFlag := flag.String("cache", "", "result cache directory (default: a tnpu-serve dir under the user cache dir)")
 	modelsFlag := flag.String("models", "", "comma-separated workload subset (default: all 14)")
 	parallelFlag := flag.Int("parallel", 0, "simulation worker count (0 = GOMAXPROCS)")
 	queueFlag := flag.Int("queue", 0, "max admitted jobs before load shedding with 503 (0 = 1024)")
-	memoDirFlag := flag.String("memodir", "", `persistent memo-store directory for layer and whole-run memos (default: "memo" beside the result cache; "off" disables)`)
+	memoDirFlag := flag.String("memodir", "", `persistent memo-store directory holding whole-run cell results (default: "memo" beside the result cache; "off" disables)`)
 	flag.Parse()
 
 	cacheDir := *cacheFlag
@@ -92,7 +112,7 @@ func run() int {
 		fmt.Printf("tnpu-serve: memo store %s\n", dir)
 	}
 
-	hs := &http.Server{Handler: srv.Handler()}
+	hs := newHTTPServer(srv.Handler())
 	errc := make(chan error, 1)
 	go func() { errc <- hs.Serve(ln) }()
 

@@ -1,5 +1,5 @@
-// Package canon provides the byte encoding shared by every layer-state
-// canonicalizer in the simulator (see DESIGN.md §6e). Values are fixed-width
+// Package canon provides the byte encoding of the cell store's result
+// bodies and the stats accumulator encoders (see DESIGN.md §6g). Values are fixed-width
 // little-endian u64 so encodings are positional: two states are equal exactly
 // when their canon byte strings are equal, with no delimiters to confuse.
 package canon

@@ -68,7 +68,7 @@ type Bus struct {
 	latency uint64
 	// aggNum/aggDen is the aggregate (whole-interface) cycles-per-byte
 	// rational, before the bandwidth is split across channels.
-	aggNum, aggDen uint64 //tnpu:canonskip derived from Config at construction, immutable
+	aggNum, aggDen uint64 // derived from Config at construction, immutable
 	chans          []channel
 }
 
@@ -90,12 +90,12 @@ type channel struct {
 	// wide has bit i set when gaps[i] is at least q64 cycles long: only
 	// those can hold a block transfer (which costs q64 or q64+1 cycles),
 	// so block requests scan just them, in list order.
-	wide uint64 //tnpu:canonskip derived from gaps, rebuilt by RestoreCanon
+	wide uint64 // derived from gaps, kept in step with them
 	// q64/r64 split one block's tick count, BlockBytes*num = q64*den +
 	// r64, so a block charge needs no division: r64 and the carried
 	// remainder are both below den, so their sum carries at most once.
-	q64 uint64 //tnpu:canonskip derived from num/den at construction, immutable
-	r64 uint64 //tnpu:canonskip derived from num/den at construction, immutable
+	q64 uint64 // derived from num/den at construction, immutable
+	r64 uint64 // derived from num/den at construction, immutable
 }
 
 type gap struct{ start, end uint64 }

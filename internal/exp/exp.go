@@ -93,13 +93,6 @@ type Runner struct {
 
 	sweepRuns map[sweepRunKey]*cell[uint64]
 
-	// memo replays recurring (layer, state-signature) executions across
-	// cells: sweep points, NPU counts, and classes re-run the same layers
-	// from identical engine states far more often than not. Shared by
-	// every single-NPU machine the runner builds; safe under the worker
-	// pool.
-	memo *npu.LayerMemo
-
 	// multiCache memoizes whole multi-NPU results by (scheme, config,
 	// program tuple). The singleflight maps above already collapse repeat
 	// requests for the same cell, so within one runner this mostly pays
@@ -109,9 +102,8 @@ type Runner struct {
 	multiCache *multinpu.RunCache
 
 	// cellStore, when attached via SetMemoDir, persists whole-run cell
-	// results (and, through the layer memo, recorded layer entries)
-	// across processes. Set once before first use, like Models; a nil
-	// store is a valid no-op (see memostore).
+	// results across processes. Set once before first use, like Models; a
+	// nil store is a valid no-op (see memostore).
 	cellStore *memostore.Store
 
 	freezeOnce sync.Once
@@ -162,10 +154,7 @@ func (r *Runner) freeze() {
 // (fixed Table II classes) and sweeps (arbitrary configurations) share one
 // cache: the bandwidth and latency sweeps vary only bus parameters, so all
 // their points — and any figure cell with the same compiler view — share
-// one compiled program. Sharing the *compiler.Program pointer is also what
-// lets the layer memo replay across harness entry points: memo keys carry
-// program identity, so a figure run and a sweep point at the same
-// configuration replay each other's layers.
+// one compiled program.
 type progKey struct {
 	short string
 	cfg   compiler.Config
@@ -203,6 +192,9 @@ type cell[V any] struct {
 
 // compute memoizes fn under k in m: exactly one caller runs fn, everyone
 // gets its result. Fresh computations are timed into the runner's RunLog.
+// If fn panics, the cell is released rather than cached: its map entry is
+// removed, waiters get an error, and the panic continues in the caller, so
+// a later request for k runs fn again.
 func compute[K comparable, V any](r *Runner, m map[K]*cell[V], k K, kind, label string, fn func() (V, error)) (V, error) {
 	r.freeze()
 	r.mu.Lock()
@@ -216,10 +208,20 @@ func compute[K comparable, V any](r *Runner, m map[K]*cell[V], k K, kind, label 
 	m[k] = c
 	r.mu.Unlock()
 
+	finished := false
+	defer func() {
+		if !finished {
+			r.mu.Lock()
+			delete(m, k)
+			r.mu.Unlock()
+			c.err = fmt.Errorf("exp: %s cell %s panicked", kind, label)
+		}
+		close(c.done)
+	}()
 	start := time.Now()
 	c.val, c.err = fn()
+	finished = true
 	r.log.note(kind, label, time.Since(start), r.Progress)
-	close(c.done)
 	return c.val, c.err
 }
 
@@ -236,7 +238,6 @@ func NewRunner(models ...string) *Runner {
 		e2es:       make(map[e2eKey]*cell[e2e.Result]),
 		attacks:    make(map[attackKey]*cell[*attack.Report]),
 		sweepRuns:  make(map[sweepRunKey]*cell[uint64]),
-		memo:       npu.NewLayerMemo(),
 		multiCache: multinpu.NewRunCache(),
 	}
 }
@@ -311,12 +312,6 @@ func (r *Runner) ImprovementAvailable() bool {
 // completion counts, and compile-vs-simulate totals.
 func (r *Runner) Log() *RunLog { return &r.log }
 
-// MemoStats reports the shared layer memo's lookup outcomes — how many
-// layer executions replayed from cache versus ran live.
-func (r *Runner) MemoStats() (hits, misses uint64) {
-	return r.memo.Hits(), r.memo.Misses()
-}
-
 // Program compiles (once) a model for a class.
 func (r *Runner) Program(short string, class Class) (*compiler.Program, error) {
 	return r.program(short, class.Config().CompilerConfig())
@@ -346,7 +341,7 @@ func (r *Runner) Run(short string, class Class, scheme memprot.Scheme, count int
 			if err != nil {
 				return multinpu.Result{}, err
 			}
-			res, err := multinpu.RunCached(p, scheme, class.Config(), count, r.memo, r.multiCache)
+			res, err := multinpu.RunCached(p, scheme, class.Config(), count, r.multiCache)
 			if err != nil {
 				return multinpu.Result{}, fmt.Errorf("exp: %s/%s/%s x%d: %w", short, class, scheme, count, err)
 			}
@@ -376,7 +371,7 @@ func (r *Runner) RunMixed(shorts []string, class Class, scheme memprot.Scheme) (
 				}
 				progs[i] = p
 			}
-			res, err := multinpu.RunMixedCached(progs, scheme, class.Config(), r.memo, r.multiCache)
+			res, err := multinpu.RunMixedCached(progs, scheme, class.Config(), r.multiCache)
 			if err != nil {
 				return multinpu.Result{}, fmt.Errorf("exp: mixed[%s]/%s/%s: %w", joined, class, scheme, err)
 			}

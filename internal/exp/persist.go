@@ -1,15 +1,12 @@
-// Whole-run memos (DESIGN.md §6g): with a persistent memo store attached,
-// the runner serializes finished cell results — single/multi-NPU runs,
-// mixed-tenancy tuples, end-to-end flows, sweep points — through the same
-// memostore that backs the layer memo. Layer memos alone cannot make a
-// cold process cheap: multi-NPU arbitration (counts 2–3) and the
-// end-to-end flow never touch the layer memo, so their cells are
-// persisted whole. Keys run through exp.Digest under CodeVersion plus a
-// body-format tag, so both a simulator change and a framing change strand
-// old entries. Bodies are canon-encoded (fixed-width little-endian u64),
-// restored by accumulating into zero values; a body that fails structural
-// validation is deleted and recomputed, mirroring the layer memo's
-// discipline.
+// Whole-run cell store (DESIGN.md §6g): with a persistent memo store
+// attached, the runner serializes finished cell results — single/multi-NPU
+// runs, mixed-tenancy tuples, end-to-end flows, sweep points — through
+// memostore, one entry per computed cell. Keys run through exp.Digest
+// under CodeVersion plus a body-format tag, so both a simulator change and
+// a framing change strand old entries. Bodies are canon-encoded
+// (fixed-width little-endian u64), restored by accumulating into zero
+// values; a body that fails structural validation is deleted and
+// recomputed.
 package exp
 
 import (
@@ -29,11 +26,11 @@ import (
 // independently of CodeVersion (which tracks simulation semantics).
 const cellMemoTag = "cellmemo1"
 
-// SetMemoDir attaches a persistent memo store under dir: layer memo
-// entries and whole-run cell results recorded by this runner are written
-// there and reloaded by later processes. Must be called before the first
-// figure/sweep call, like the rest of the runner configuration (enforced:
-// panics after first use). An empty dir is a no-op.
+// SetMemoDir attaches a persistent memo store under dir: whole-run cell
+// results computed by this runner are written there and reloaded by later
+// processes. Must be called before the first figure/sweep call, like the
+// rest of the runner configuration (enforced: panics after first use). An
+// empty dir is a no-op.
 func (r *Runner) SetMemoDir(dir string) error {
 	if dir == "" {
 		return nil
@@ -46,23 +43,31 @@ func (r *Runner) SetMemoDir(dir string) error {
 		return err
 	}
 	r.cellStore = st
-	r.memo.AttachStore(st, CodeVersion)
 	return nil
 }
 
 // MemoDir returns the attached persistent memo directory ("" if none).
 func (r *Runner) MemoDir() string { return r.cellStore.Dir() }
 
-// LayerMemoStats exposes the full layer-memo counter snapshot (including
-// persistence outcomes); MemoStats keeps the compact hits/misses view.
-func (r *Runner) LayerMemoStats() npu.MemoStats { return r.memo.Stats() }
+// LayerMemoStats is the counter set of the retired per-layer memo. Every
+// field is always zero: single-NPU cells now run npu.Machine.Run and the
+// cell store is the only memo tier. It is kept only because hostbench, its
+// one reader, still records these counters; nothing else should call it.
+type LayerMemoStats struct {
+	Hits, Misses, FlightHits, DiskHits, Records, Evictions uint64
+	Bytes                                                  int
+}
+
+// LayerMemoStats returns the always-zero retired layer-memo counters (see
+// the type).
+func (r *Runner) LayerMemoStats() LayerMemoStats { return LayerMemoStats{} }
 
 // CellStoreStats reports the persistent store's counters (zero when no
-// memo dir is attached). The counters aggregate layer-memo and whole-run
-// traffic: both ride the same store.
+// memo dir is attached): one save per computed cell, one load per cell
+// looked up.
 func (r *Runner) CellStoreStats() memostore.Stats { return r.cellStore.Stats() }
 
-// persisted wraps one cell computation with the whole-run memo: try the
+// persisted wraps one cell computation with the cell store: try the
 // store under key, validate, fall back to fn, save what fn produced.
 // Errors are never persisted.
 func persisted[V any](r *Runner, key string, enc func([]byte, *V) []byte, dec func([]byte) (V, bool), fn func() (V, error)) (V, error) {

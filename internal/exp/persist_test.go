@@ -5,7 +5,6 @@ import (
 	"testing"
 
 	"tnpu/internal/memprot"
-	"tnpu/internal/npu"
 	"tnpu/internal/npu/memostore"
 )
 
@@ -36,7 +35,7 @@ func buildArtifacts(t *testing.T, r *Runner) []string {
 // TestMemoDirRoundTrip pins the whole-run memo guarantee: a fresh runner
 // (a "new process") over a directory an earlier runner recorded into
 // reproduces every artifact byte-identically without simulating anything —
-// every cell loads from the store, no layer is recorded.
+// every cell loads from the store and none is saved again.
 func TestMemoDirRoundTrip(t *testing.T) {
 	dir := t.TempDir()
 
@@ -61,8 +60,72 @@ func TestMemoDirRoundTrip(t *testing.T) {
 	if s.Hits == 0 {
 		t.Errorf("warm runner hit nothing on the store: %+v", s)
 	}
-	if lm := warm.LayerMemoStats(); lm.Records != 0 || lm.Misses != 0 {
-		t.Errorf("warm runner simulated layers (records=%d misses=%d); every cell should load whole", lm.Records, lm.Misses)
+	if s.Saves != 0 || s.Hits != s.Loads {
+		t.Errorf("warm runner computed cells (saves=%d, %d/%d loads hit); every cell should load whole", s.Saves, s.Hits, s.Loads)
+	}
+}
+
+// storedCells counts the cells a runner's RunLog holds of the kinds the
+// cell store persists (simulate: runs, mixed tuples, sweep points; e2e).
+func storedCells(r *Runner) uint64 {
+	var n uint64
+	for _, c := range r.Log().Cells() {
+		if c.Kind == "simulate" || c.Kind == "e2e" {
+			n++
+		}
+	}
+	return n
+}
+
+// regenerate builds every figure and the three sensitivity sweeps, the
+// artifact set a tnpu-bench regeneration computes.
+func regenerate(t *testing.T, r *Runner) {
+	t.Helper()
+	if _, err := r.AllFigures(); err != nil {
+		t.Fatal(err)
+	}
+	for _, gen := range []func(string) (Sweep, error){r.BandwidthSweep, r.SPMSweep, r.LatencySweep} {
+		if _, err := gen(r.Models[0]); err != nil {
+			t.Fatal(err)
+		}
+	}
+}
+
+// TestCellStoreSavesOnePerComputedCell pins the cell store's write volume
+// exactly: a cold regeneration saves one entry per computed simulate/e2e
+// cell and nothing else, and a second runner over the same directory
+// loads every one of those cells and computes none.
+func TestCellStoreSavesOnePerComputedCell(t *testing.T) {
+	models := []string{"df", "res"}
+	if testing.Short() {
+		models = models[:1]
+	}
+	dir := t.TempDir()
+	cold := NewRunner(models...)
+	if err := cold.SetMemoDir(dir); err != nil {
+		t.Fatal(err)
+	}
+	regenerate(t, cold)
+	cells := storedCells(cold)
+	if cells == 0 {
+		t.Fatal("cold regeneration computed no cells")
+	}
+	if s := cold.CellStoreStats(); s.Saves != cells || s.Hits != 0 || s.Loads != cells {
+		t.Errorf("cold store: %d saves, %d/%d loads hit; want %d saves and %d missed loads (one per computed cell)",
+			s.Saves, s.Hits, s.Loads, cells, cells)
+	}
+
+	warm := NewRunner(models...)
+	if err := warm.SetMemoDir(dir); err != nil {
+		t.Fatal(err)
+	}
+	regenerate(t, warm)
+	if s := warm.CellStoreStats(); s.Saves != 0 || s.Hits != cells || s.Loads != cells {
+		t.Errorf("warm store: %d saves, %d/%d loads hit; want 0 saves and %d hits (no cell computed)",
+			s.Saves, s.Hits, s.Loads, cells)
+	}
+	if _, misses := warm.MultiCacheStats(); misses != 0 {
+		t.Errorf("warm runner ran %d multi-NPU simulations, want 0", misses)
 	}
 }
 
@@ -186,49 +249,4 @@ func TestPersistedRunResultRoundTrip(t *testing.T) {
 	if !reflect.DeepEqual(e2eRes, e2eDec) {
 		t.Errorf("e2e result round-trip mismatch:\n want %+v\n got  %+v", e2eRes, e2eDec)
 	}
-}
-
-// TestMemoDirWarmStartUsesLayerStore covers the layer-memo persistence
-// path through the runner (whole-run memos normally short-circuit it):
-// a warm runner whose *cell* entries were stranded by a cell-format bump
-// still replays layers from the store instead of re-recording them.
-func TestMemoDirWarmStartUsesLayerStore(t *testing.T) {
-	dir := t.TempDir()
-	cold := NewRunner("df")
-	if err := cold.SetMemoDir(dir); err != nil {
-		t.Fatal(err)
-	}
-	cfg := Small.Config()
-	want, err := cold.runPoint("df", cfg, memprot.TreeLess)
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	// Strand the whole-run cell so the warm runner must simulate — its
-	// layer lookups should then come off the persistent store.
-	st, err := memostore.New(dir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	st.Delete(sweepCellKey("df", cfg, memprot.TreeLess))
-
-	warm := NewRunner("df")
-	if err := warm.SetMemoDir(dir); err != nil {
-		t.Fatal(err)
-	}
-	got, err := warm.runPoint("df", cfg, memprot.TreeLess)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got != want {
-		t.Errorf("layer-store replay run = %d cycles, cold run = %d", got, want)
-	}
-	lm := warm.LayerMemoStats()
-	if lm.DiskHits == 0 {
-		t.Errorf("warm simulation loaded no layers from the store: %+v", lm)
-	}
-	if lm.Records != 0 {
-		t.Errorf("warm simulation re-recorded %d layers, want 0", lm.Records)
-	}
-	var _ npu.MemoStats = lm
 }

@@ -15,7 +15,7 @@ import (
 // performance bottleneck the paper measures in Fig. 4/5.
 type baseline struct {
 	cfg     Config
-	geo     integrity.Geometry //tnpu:canonskip derived from cfg at construction, immutable
+	geo     integrity.Geometry // derived from cfg at construction, immutable
 	counter *cache.Cache
 	hash    *cache.Cache
 	mac     *cache.Cache
@@ -35,23 +35,12 @@ type baseline struct {
 	minors    map[uint64]*[integrity.Arity]uint8
 	Overflows uint64
 
-	// Layer-memoization bookkeeping (canon.go): minorsDig is the 128-bit
-	// wrapping-sum digest standing in for the minors map inside layer
-	// canons, and touched/touchedLi journal the counter lines mutated in
-	// the current layer for O(touched) post-state deltas. All three are
-	// maintained only once BeginLayer arms memoOn, so un-memoized runs pay
-	// a predicted-not-taken branch per counter-line touch and nothing more.
-	memoOn    bool //tnpu:canonskip memo-harness arming flag, managed by BeginLayer outside replay
-	minorsDig [2]uint64
-	touched   map[uint64]struct{} //tnpu:canonskip per-layer journal index, reset by BeginLayer
-	touchedLi []uint64            //tnpu:canonskip per-layer journal consumed by AppendDelta, reset by BeginLayer
-
 	// cur is the streak charge cursor and sweep the MAC-line range
 	// resolver (see streak.go), engine-owned so the batched hot path
 	// allocates nothing.
-	cur   dram.SpanCursor //tnpu:canonskip per-call scratch cursor, no state across calls
-	sweep cache.Sweep     //tnpu:canonskip per-call scratch resolver, no state across calls
-	jr    jointRun        //tnpu:canonskip per-call joint-run scratch, no state across calls
+	cur   dram.SpanCursor // per-call scratch cursor, no state across calls
+	sweep cache.Sweep     // per-call scratch resolver, no state across calls
+	jr    jointRun        // per-call joint-run scratch, no state across calls
 }
 
 func newBaseline(cfg Config) *baseline {
@@ -76,13 +65,10 @@ func (b *baseline) bumpMinor(ready, addr uint64) {
 		line = new([integrity.Arity]uint8)
 		b.minors[lineIdx] = line
 	}
-	b.minorMark(lineIdx)
-	b.minorDigAdd(lineIdx, slot, 1)
 	line[slot]++
 	if line[slot] < 1<<7 {
 		return
 	}
-	b.minorDigReset(lineIdx, line)
 	*line = [integrity.Arity]uint8{}
 	b.Overflows++
 	burst := uint64(integrity.Arity) * 2 * dram.BlockBytes

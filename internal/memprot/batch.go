@@ -616,9 +616,7 @@ func (b *baseline) WriteRun(ready, addr, version uint64, n int, w *dram.IssueWin
 					minorLine = new([integrity.Arity]uint8) //tnpu:allocok
 					b.minors[lineIdx] = minorLine
 				}
-				b.minorMark(lineIdx)
 			}
-			b.minorDigAdd(lineIdx, slot, chunkEnd-i)
 			for k := 0; k < chunkEnd-i; k++ {
 				minorLine[slot+k]++
 			}
@@ -656,9 +654,7 @@ func (b *baseline) WriteRun(ready, addr, version uint64, n int, w *dram.IssueWin
 				minorLine = new([integrity.Arity]uint8) //tnpu:allocok
 				b.minors[lineIdx] = minorLine
 			}
-			b.minorMark(lineIdx)
 		}
-		b.minorDigAdd(lineIdx, slot, 1)
 		minorLine[slot]++
 		if isMac {
 			macAccessRun(b.mac, &b.cfg, &b.traffic, r, a, macCount, true, false)
@@ -672,7 +668,6 @@ func (b *baseline) WriteRun(ready, addr, version uint64, n int, w *dram.IssueWin
 		// Covered blocks: cache hits and overflow-free minor bumps; the
 		// write path completes at each block's bus-clear time.
 		if pure := chunkEnd - (i + 1); pure > 0 {
-			b.minorDigAdd(lineIdx, slot+1, pure)
 			for k := 1; k <= pure; k++ {
 				minorLine[slot+k]++
 			}

@@ -196,7 +196,7 @@ var zeroCacheStats stats.CacheStats
 type unsecure struct {
 	cfg     Config
 	traffic stats.Traffic
-	jr      jointRun //tnpu:canonskip per-call joint-run scratch, no state across calls
+	jr      jointRun // per-call joint-run scratch, no state across calls
 }
 
 func newUnsecure(cfg Config) *unsecure { return &unsecure{cfg: cfg} }
@@ -229,7 +229,7 @@ func (u *unsecure) MACStats() *stats.CacheStats                            { ret
 type encryptOnly struct {
 	cfg     Config
 	traffic stats.Traffic
-	jr      jointRun //tnpu:canonskip per-call joint-run scratch, no state across calls
+	jr      jointRun // per-call joint-run scratch, no state across calls
 }
 
 func newEncryptOnly(cfg Config) *encryptOnly { return &encryptOnly{cfg: cfg} }

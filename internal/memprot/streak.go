@@ -546,9 +546,7 @@ func (b *baseline) minorStretchBump(addr uint64, i, blocks int) {
 			minorLine = new([integrity.Arity]uint8) //tnpu:allocok
 			b.minors[lineIdx] = minorLine
 		}
-		b.minorMark(lineIdx)
 		cnt := minInt(blocks-k, int(b.cfg.TreeArity)-slot)
-		b.minorDigAdd(lineIdx, slot, cnt)
 		for j := 0; j < cnt; j++ {
 			minorLine[slot+j]++
 		}

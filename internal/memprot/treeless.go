@@ -42,10 +42,10 @@ type treeless struct {
 	// resolves whole MAC-line ranges in closed form, and macOut is the
 	// reused per-line outcome buffer for the mixed fallback. Engine-owned
 	// so the batched hot path allocates nothing.
-	cur    dram.SpanCursor //tnpu:canonskip per-call scratch cursor, no state across calls
-	sweep  cache.Sweep     //tnpu:canonskip per-call scratch resolver, no state across calls
-	macOut []cache.Result  //tnpu:canonskip reused per-call outcome buffer, contents dead between calls
-	jr     jointRun        //tnpu:canonskip per-call joint-run scratch, no state across calls
+	cur    dram.SpanCursor // per-call scratch cursor, no state across calls
+	sweep  cache.Sweep     // per-call scratch resolver, no state across calls
+	macOut []cache.Result  // reused per-call outcome buffer, contents dead between calls
+	jr     jointRun        // per-call joint-run scratch, no state across calls
 
 	// Version-table path: the table is CPU-enclave data, so accesses hit
 	// the CPU cache hierarchy; vcache models that residency (the tables
@@ -54,7 +54,7 @@ type treeless struct {
 	// accesses verified by fpGeo's tree through the small
 	// fpCounter/fpHash caches.
 	vcache    *cache.Cache
-	fpGeo     integrity.Geometry //tnpu:canonskip derived from cfg at construction, immutable
+	fpGeo     integrity.Geometry // derived from cfg at construction, immutable
 	fpCounter *cache.Cache
 	fpHash    *cache.Cache
 }

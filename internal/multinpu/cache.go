@@ -25,11 +25,10 @@ type runKey struct {
 	progs  [maxCachedNPUs]*compiler.Program
 }
 
-// RunCache memoizes whole multi-NPU Results. Multi-NPU runs cannot use
-// the per-layer memo (machines interleave on shared state), so repeated
-// cells — figure sweeps re-running the same (scheme, config, programs)
-// tuple, the serving layer's scalability curves — pay the full arbitrated
-// simulation every time without it. Results are deep-copied on both store
+// RunCache memoizes whole multi-NPU Results. Repeated cells — figure
+// sweeps re-running the same (scheme, config, programs) tuple, the serving
+// layer's scalability curves — pay the full arbitrated simulation every
+// time without it. Results are deep-copied on both store
 // and hit, so callers may mutate what they receive. Safe for concurrent
 // use; the expected caller (exp.Runner) additionally singleflights per
 // cell, so no duplicate-suppression is attempted here.

@@ -91,11 +91,11 @@ func TestRunCachedReplay(t *testing.T) {
 	cfg := npu.SmallNPU()
 	prog := compileFor(t, "df", cfg)
 	cache := NewRunCache()
-	first, err := RunCached(prog, memprot.TreeLess, cfg, 2, nil, cache)
+	first, err := RunCached(prog, memprot.TreeLess, cfg, 2, cache)
 	if err != nil {
 		t.Fatal(err)
 	}
-	second, err := RunCached(prog, memprot.TreeLess, cfg, 2, nil, cache)
+	second, err := RunCached(prog, memprot.TreeLess, cfg, 2, cache)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -107,7 +107,7 @@ func TestRunCachedReplay(t *testing.T) {
 	}
 	second.PerNPU[0] = 0xdead
 	second.NPUs[0].Blocks = 0xdead
-	third, err := RunCached(prog, memprot.TreeLess, cfg, 2, nil, cache)
+	third, err := RunCached(prog, memprot.TreeLess, cfg, 2, cache)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -116,11 +116,11 @@ func TestRunCachedReplay(t *testing.T) {
 	}
 	// Mixed tenancy caches under its own key.
 	res := compileFor(t, "res", cfg)
-	mixed, err := RunMixedCached([]*compiler.Program{prog, res}, memprot.TreeLess, cfg, nil, cache)
+	mixed, err := RunMixedCached([]*compiler.Program{prog, res}, memprot.TreeLess, cfg, cache)
 	if err != nil {
 		t.Fatal(err)
 	}
-	mixed2, err := RunMixedCached([]*compiler.Program{prog, res}, memprot.TreeLess, cfg, nil, cache)
+	mixed2, err := RunMixedCached([]*compiler.Program{prog, res}, memprot.TreeLess, cfg, cache)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -371,7 +371,7 @@ func TestJointEdgeSeeds(t *testing.T) {
 			progs, scheme, cfg := decodeMultiFuzz(s.data)
 			diffMulti(t, progs, scheme, cfg)
 			var ps PathStats
-			if _, err := runMixed(progs, scheme, cfg, nil, &ps); err != nil {
+			if _, err := runMixed(progs, scheme, cfg, &ps); err != nil {
 				t.Fatal(err)
 			}
 			if !s.hit(&ps) {
@@ -469,8 +469,8 @@ func TestMultiNPUNoAllocs(t *testing.T) {
 // block-granular reference ("block"), live horizon-bounded arbitration
 // ("arbitrated"), and the production path with the shared joint-run cache
 // ("batched" — replays repeated cells from cache, the harness's and the
-// serving layer's steady state, mirroring BenchmarkMachineRun's memoized
-// leg). BENCH_PR8.json records block/batched ratios.
+// serving layer's steady state). BENCH_PR8.json records block/batched
+// ratios.
 func BenchmarkMultiNPU(b *testing.B) {
 	cfg := npu.LargeNPU()
 	m := compileForBench(b, "res", cfg)
@@ -496,7 +496,7 @@ func BenchmarkMultiNPU(b *testing.B) {
 			})
 			b.Run(name+"/batched", func(b *testing.B) {
 				for i := 0; i < b.N; i++ {
-					if _, err := RunCached(m, scheme, cfg, count, nil, cache); err != nil {
+					if _, err := RunCached(m, scheme, cfg, count, cache); err != nil {
 						b.Fatal(err)
 					}
 				}

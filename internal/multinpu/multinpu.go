@@ -66,21 +66,12 @@ func ForceBlockInterleave(on bool) { forceBlockInterleave.Store(on) }
 // Run executes count copies of prog (the paper runs the same inference
 // model on every NPU) under one shared bus and protection engine.
 func Run(prog *compiler.Program, scheme memprot.Scheme, cfg npu.Config, count int) (Result, error) {
-	return RunCached(prog, scheme, cfg, count, nil, nil)
+	return RunCached(prog, scheme, cfg, count, nil)
 }
 
-// RunMemo is Run with a shared layer memo (may be nil); see RunCached.
-func RunMemo(prog *compiler.Program, scheme memprot.Scheme, cfg npu.Config, count int, memo *npu.LayerMemo) (Result, error) {
-	return RunCached(prog, scheme, cfg, count, memo, nil)
-}
-
-// RunCached is Run with a shared layer memo and a shared joint-run cache,
-// either of which may be nil. Layer memoization applies to single-NPU
-// runs, which execute whole DMA runs on one machine; multi-NPU runs
-// interleave machines on the shared engine, so their layers have no
-// private state signature and always run live — the joint-run cache is
-// what makes repeated multi-NPU cells (figure sweeps, serving) cheap.
-func RunCached(prog *compiler.Program, scheme memprot.Scheme, cfg npu.Config, count int, memo *npu.LayerMemo, cache *RunCache) (Result, error) {
+// RunCached is Run with a shared joint-run cache (may be nil), which makes
+// repeated multi-NPU cells (figure sweeps, serving) cheap.
+func RunCached(prog *compiler.Program, scheme memprot.Scheme, cfg npu.Config, count int, cache *RunCache) (Result, error) {
 	if count <= 0 {
 		return Result{}, fmt.Errorf("multinpu: count must be positive, got %d", count)
 	}
@@ -88,7 +79,7 @@ func RunCached(prog *compiler.Program, scheme memprot.Scheme, cfg npu.Config, co
 	for i := range progs {
 		progs[i] = prog
 	}
-	return RunMixedCached(progs, scheme, cfg, memo, cache)
+	return RunMixedCached(progs, scheme, cfg, cache)
 }
 
 // RunMixed executes a different program per NPU — the mixed-tenancy
@@ -96,18 +87,17 @@ func RunCached(prog *compiler.Program, scheme memprot.Scheme, cfg npu.Config, co
 // region and version table; only bandwidth, the security engine, and the
 // metadata caches are shared).
 func RunMixed(progs []*compiler.Program, scheme memprot.Scheme, cfg npu.Config) (Result, error) {
-	return RunMixedCached(progs, scheme, cfg, nil, nil)
+	return RunMixedCached(progs, scheme, cfg, nil)
 }
 
-// RunMixedCached is RunMixed with a shared layer memo and joint-run cache
-// (either may be nil), giving mixed-tenancy runs the same memo/fast-path
-// treatment as RunMemo's homogeneous runs.
-func RunMixedCached(progs []*compiler.Program, scheme memprot.Scheme, cfg npu.Config, memo *npu.LayerMemo, cache *RunCache) (Result, error) {
+// RunMixedCached is RunMixed with a shared joint-run cache (may be nil),
+// like RunCached.
+func RunMixedCached(progs []*compiler.Program, scheme memprot.Scheme, cfg npu.Config, cache *RunCache) (Result, error) {
 	if res, ok := cache.lookup(progs, scheme, cfg); ok {
 		return res, nil
 	}
 	var ps PathStats
-	res, err := runMixed(progs, scheme, cfg, memo, &ps)
+	res, err := runMixed(progs, scheme, cfg, &ps)
 	if err != nil {
 		return Result{}, err
 	}
@@ -118,7 +108,7 @@ func RunMixedCached(progs []*compiler.Program, scheme memprot.Scheme, cfg npu.Co
 
 // runMixed simulates one co-tenant set; ps receives the execution-path
 // counters.
-func runMixed(progs []*compiler.Program, scheme memprot.Scheme, cfg npu.Config, memo *npu.LayerMemo, ps *PathStats) (Result, error) {
+func runMixed(progs []*compiler.Program, scheme memprot.Scheme, cfg npu.Config, ps *PathStats) (Result, error) {
 	count := len(progs)
 	if count == 0 {
 		return Result{}, fmt.Errorf("multinpu: no programs")
@@ -145,9 +135,8 @@ func runMixed(progs []*compiler.Program, scheme memprot.Scheme, cfg npu.Config, 
 	if count == 1 {
 		// A lone NPU has the engine to itself: run whole DMA runs through
 		// the batched path (cycle-identical to the block interleave below,
-		// pinned by the differential suite) and let the memo replay
-		// recurring layers.
-		machines[0].RunMemoized(memo)
+		// pinned by the differential suite).
+		machines[0].Run()
 		return assemble(scheme, eng, machines), nil
 	}
 

@@ -133,7 +133,7 @@ func TestPathCounts(t *testing.T) {
 			tenants[i] = progs[c.model]
 		}
 		var ps PathStats
-		r, err := runMixed(tenants, c.scheme, cfg, nil, &ps)
+		r, err := runMixed(tenants, c.scheme, cfg, &ps)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -1,8 +1,7 @@
-// Package memostore is the disk layer under the simulator's memo caches
-// (DESIGN.md §6g): a content-addressed store of recorded simulation
-// effects — layer memo entries, whole-run results — that survives process
-// restarts, so a cold harness replays what an earlier process recorded
-// instead of re-deriving it.
+// Package memostore is the whole-run cell store (DESIGN.md §6g): a
+// content-addressed store of finished simulation cell results that
+// survives process restarts, so a cold harness loads what an earlier
+// process computed instead of re-simulating it.
 //
 // The store follows the same discipline as the serving layer's result
 // cache (internal/serve.Store): keys are hex SHA-256 digests (safe as
@@ -11,13 +10,13 @@
 // an atomic rename (concurrent writers of one key race safely — the
 // contents are identical by construction, either rename wins), and a
 // corrupt or truncated entry is deleted and reported as a miss so the
-// caller simply re-records it. Callers bake the simulator code version
+// caller simply recomputes it. Callers bake the simulator code version
 // into every key, so a code bump strands stale entries rather than
 // serving them.
 //
 // Unlike serve.Store there is no compute callback and no singleflight
-// here: the memo layers above own the record path (and their own
-// record-once scheduling); the store is plain Load/Save.
+// here: exp.Runner's cell singleflight owns the compute path; the store
+// is plain Load/Save.
 package memostore
 
 import (
@@ -39,7 +38,7 @@ const entryMagic = "TNPUMEMO1"
 
 // Store is a disk-backed content-addressed memo store. A nil *Store is a
 // valid no-op store: Load always misses and Save drops the body, so the
-// memo layers wire it unconditionally.
+// runner wires it unconditionally.
 type Store struct {
 	dir string
 

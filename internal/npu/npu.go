@@ -143,12 +143,6 @@ type Machine struct {
 
 	dataOffset uint64
 	slotOffset uint64
-
-	// canonBuf/accBuf are reused scratch for layer-memoization blobs
-	// (memo.go), so a memoized run's boundary checks allocate only when a
-	// layer is recorded.
-	canonBuf []byte
-	accBuf   []byte
 }
 
 // dmaOutstanding is the DMA engine's maximum outstanding block requests.

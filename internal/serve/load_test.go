@@ -195,9 +195,6 @@ func TestLoadConcurrentSweeps(t *testing.T) {
 	if wst.DiskHits+wst.FlightHits != uint64(n) {
 		t.Errorf("warm hits = %d, want %d", wst.DiskHits+wst.FlightHits, n)
 	}
-	if hits, misses := warm.runner.MemoStats(); hits+misses != 0 {
-		t.Errorf("warm service simulated layers (%d hits, %d misses); results must come from disk", hits, misses)
-	}
 	t.Logf("warm: %d requests in %v (cold %v)", n, warmDur, coldDur)
 	// Warm regeneration does strictly less work (disk reads instead of
 	// simulations); only compare wall clocks when the cold run is slow

@@ -10,6 +10,7 @@ import (
 	"bytes"
 	"crypto/sha256"
 	"encoding/hex"
+	"errors"
 	"fmt"
 	"os"
 	"path/filepath"
@@ -101,9 +102,16 @@ func validKey(key string) bool {
 	return err == nil
 }
 
+// errAbandoned is what flight waiters receive when the computation they
+// waited on panicked instead of returning.
+var errAbandoned = errors.New("serve: the computation for this key panicked; retry to recompute")
+
 // Get serves key from cache if possible, otherwise runs compute (exactly
 // once per key across concurrent callers) and persists the result. Errors
 // are never cached: a failed computation is retried by the next lookup.
+// A panicking compute is a failure too: the flight is released (waiters
+// get errAbandoned, the next lookup recomputes) and the panic continues in
+// this caller.
 func (s *Store) Get(key string, compute func() ([]byte, error)) ([]byte, Source, error) {
 	s.lookups.Add(1)
 	if !validKey(key) {
@@ -118,36 +126,38 @@ func (s *Store) Get(key string, compute func() ([]byte, error)) ([]byte, Source,
 		<-f.done
 		return f.data, SourceFlight, f.err
 	}
-	f := &flight{done: make(chan struct{})}
+	f := &flight{done: make(chan struct{}), err: errAbandoned}
 	s.inflight[key] = f
 	s.mu.Unlock()
+	defer func() {
+		s.mu.Lock()
+		delete(s.inflight, key)
+		s.mu.Unlock()
+		close(f.done)
+	}()
 
 	src := SourceDisk
-	f.data, f.err = s.read(key)
-	if f.data == nil && f.err == nil {
+	data, err := s.read(key)
+	if data == nil && err == nil {
 		src = SourceCompute
 		s.computes.Add(1)
-		f.data, f.err = compute()
-		if f.err == nil {
-			if werr := s.write(key, f.data); werr != nil {
+		data, err = compute()
+		if err == nil {
+			if werr := s.write(key, data); werr != nil {
 				// The result is good even if persisting it failed
 				// (disk full, read-only cache); serve it and count
 				// the store error.
 				s.errors.Add(1)
 			}
 		}
-	} else if f.data != nil {
+	} else if data != nil {
 		s.diskHits.Add(1)
 	}
-	if f.err != nil {
+	if err != nil {
 		s.errors.Add(1)
 	}
-
-	s.mu.Lock()
-	delete(s.inflight, key)
-	s.mu.Unlock()
-	close(f.done)
-	return f.data, src, f.err
+	f.data, f.err = data, err
+	return data, src, err
 }
 
 // read returns the entry bytes for key, or (nil, nil) on a miss. A

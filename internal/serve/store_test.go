@@ -6,6 +6,7 @@ import (
 	"os"
 	"sync"
 	"testing"
+	"time"
 
 	"tnpu/internal/exp"
 	"tnpu/internal/memprot"
@@ -271,6 +272,68 @@ func TestStoreErrorsNotCached(t *testing.T) {
 	data, src := mustGet(t, s, key, func() ([]byte, error) { return []byte("ok"), nil })
 	if src != SourceCompute || string(data) != "ok" {
 		t.Fatalf("retry after error: src=%s data=%q", src, data)
+	}
+}
+
+// TestStorePanicReleasesFlight: a panicking computation must not leave
+// its flight open. A concurrent waiter gets an error instead of blocking
+// forever, the panic reaches the computing caller, nothing is cached, and
+// a retry computes again.
+func TestStorePanicReleasesFlight(t *testing.T) {
+	s, err := NewStore(t.TempDir())
+	if err != nil {
+		t.Fatal(err)
+	}
+	key := testKey("panics")
+	started, fire := make(chan struct{}), make(chan struct{})
+
+	leader := make(chan any, 1)
+	go func() {
+		defer func() { leader <- recover() }()
+		s.Get(key, func() ([]byte, error) { //tnpu:errok (the call panics)
+			close(started)
+			<-fire
+			panic("injected invariant violation")
+		})
+	}()
+	<-started
+
+	waiter := make(chan error, 1)
+	go func() {
+		_, _, err := s.Get(key, func() ([]byte, error) {
+			t.Error("waiter ran the computation; it should have joined the flight")
+			return nil, nil
+		})
+		waiter <- err
+	}()
+	// The waiter counts a flight hit just before it blocks on the flight.
+	for deadline := time.Now().Add(5 * time.Second); s.Stats().FlightHits == 0; {
+		if time.Now().After(deadline) {
+			t.Fatal("waiter never joined the flight")
+		}
+		time.Sleep(time.Millisecond)
+	}
+	close(fire)
+
+	select {
+	case err := <-waiter:
+		if err == nil {
+			t.Error("waiter of a panicked computation got no error")
+		}
+	case <-time.After(5 * time.Second):
+		t.Fatal("waiter still blocked on the panicked flight")
+	}
+	if p := <-leader; p == nil {
+		t.Error("the panic did not reach the computing caller")
+	}
+
+	calls := 0
+	data, src := mustGet(t, s, key, func() ([]byte, error) {
+		calls++
+		return []byte("ok"), nil
+	})
+	if src != SourceCompute || string(data) != "ok" || calls != 1 {
+		t.Errorf("retry: src=%s data=%q after %d calls; want a fresh compute", src, data, calls)
 	}
 }
 

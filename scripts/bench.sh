@@ -1,22 +1,22 @@
 #!/usr/bin/env bash
-# bench.sh — measure the batched DMA fast path and the layer-memoized
-# production path against the retained per-block reference, and emit the
-# next BENCH_PR<n>.json.
+# bench.sh — measure the batched DMA fast path (the production path)
+# against the retained per-block reference, and emit the next
+# BENCH_PR<n>.json.
 #
 # All execution paths live in the same binary (the per-block model is the
 # semantic reference the faster paths are pinned to), so before/after is a
-# single build: "perblock" = the reference, "streak" = the batched
-# run-length path without memoization, "batched" = the production path
-# (batched + layer memo, which replays recurring layer signatures from
-# cache — the harness's steady state).
+# single build. Single-NPU machine runs have two legs: "perblock" = the
+# reference, "streak" = the batched run-length path that npu.Machine.Run
+# executes for every single-NPU cell. Multi-NPU runs have three: "block",
+# "arbitrated", and "batched" (the joint-run-cache steady state).
 #
 # PREV defaults to the newest *checked-in* BENCH_PR<n>.json by numeric
 # suffix; OUT defaults to BENCH_PR<n+1>.json (or takes $1) and the script
 # refuses to overwrite an existing file, so stale hard-coded names can't
-# silently clobber recorded results. After writing the output, the batched
-# machine-run times are compared against PREV: any scheme more than 10%
-# slower fails the script, so a fast-path regression cannot be checked in
-# silently.
+# silently clobber recorded results. After writing the output, the
+# production-path times (machine-run "streak", multi-NPU "batched") are
+# compared against PREV: any cell more than 10% (and 100us) slower fails
+# the script, so a fast-path regression cannot be checked in silently.
 #
 # Usage: scripts/bench.sh [output.json]
 set -euo pipefail
@@ -49,14 +49,9 @@ fi
 echo "baseline $PREV -> output $OUT" >&2
 
 # The engine microbenchmarks run in ~100us/op, so they need many
-# iterations to settle; one full machine run takes tens of ms. The machine
-# count must be high enough that the memoized path's one-time recording
-# pass (first iteration of each sub-benchmark) amortizes into the replay
-# steady state it is meant to measure: at 20x the ~25ms recording pass
-# still contributed ~40% of the ms-scale batched cells (and its
-# scheduling noise with it); 100x caps it below a few percent, so the
-# recorded number is the replay time the production harness actually
-# pays.
+# iterations to settle; one full machine run takes 0.1-100 ms, and 100
+# iterations keep the streak cells' scheduling noise well inside the
+# gate's 10%.
 MICRO_BENCHTIME="${MICRO_BENCHTIME:-200x}"
 BENCHTIME="${BENCHTIME:-100x}"
 # Multi-NPU block-interleave legs run 100-300ms each on large/res, so a
@@ -138,10 +133,11 @@ serve_fetch_all
 t1=$(date +%s.%N)
 SERVED_WARM_S=$(echo "$t1 $t0" | awk '{printf "%.3f", $1-$2}')
 serve_stop
-# Memo-warm: wipe only the result-cache entries, keep the persistent memo
+# Memo-warm: wipe only the result-cache entries, keep the persistent cell
 # store (at its default location under the cache directory), and restart.
-# The server must regenerate every artifact, but whole-run memos replace
-# simulation — this is the cold-process regeneration cost after PR9.
+# The server must regenerate every artifact, but stored cells replace
+# simulation — this is the cold-process regeneration cost with a warm
+# cell store.
 rm -f "$SERVE_CACHE"/*.entry
 serve_boot
 t0=$(date +%s.%N)
@@ -153,7 +149,7 @@ rm -rf "$SERVE_CACHE" "$SERVE_LOG"
 
 # The tentpole guarantee: with the memo store intact, cold-process
 # regeneration must be at least 5x faster than fully cold. A miss here
-# means whole-run memos stopped covering the artifact set.
+# means the cell store stopped covering the artifact set.
 if ! echo "$SERVED_COLD_S $SERVED_MEMOWARM_S" | awk '{exit !($2 > 0 && $1 / $2 >= 5)}'; then
 	echo "bench.sh: memo-warm regeneration ${SERVED_MEMOWARM_S}s is not >=5x faster than cold ${SERVED_COLD_S}s" >&2
 	exit 1
@@ -161,7 +157,7 @@ fi
 
 {
 	echo "{"
-	echo '  "description": "Batched DMA fast path (streak) and layer-memoized production path (batched) vs per-block reference (same binary, cycle-identical results). multi_npu compares 2-3 co-tenant NPUs on the block-granular interleave (block), live horizon-bounded streak arbitration (arbitrated), and the joint-run-cache steady state (batched). ns/op from go test -bench; wall seconds from tnpu-bench -parallel 1 -models df,res. served_cold/served_warm time the same artifact set (all figures + sweeps) through tnpu-serve against a fresh vs restart-surviving disk cache; served_cold_memowarm re-times the cold case (result cache wiped, every artifact regenerated) with the persistent whole-run memo store intact — regeneration replays memos instead of simulating. memowarm_speedup gates at >=5x.",'
+	echo '  "description": "Batched DMA fast path (streak, the production path every single-NPU cell runs) vs per-block reference (same binary, cycle-identical results). multi_npu compares 2-3 co-tenant NPUs on the block-granular interleave (block), live horizon-bounded streak arbitration (arbitrated), and the joint-run-cache steady state (batched). ns/op from go test -bench; wall seconds from tnpu-bench -parallel 1 -models df,res. served_cold/served_warm time the same artifact set (all figures + sweeps) through tnpu-serve against a fresh vs restart-surviving disk cache; served_cold_memowarm re-times the cold case (result cache wiped, every artifact regenerated) with the persistent whole-run cell store intact — regeneration loads stored cells instead of simulating. memowarm_speedup gates at >=5x.",'
 	echo '  "benchtime": {"micro": "'"$MICRO_BENCHTIME"'", "machine": "'"$BENCHTIME"'", "multi": "'"$MULTI_BENCHTIME"'"},'
 
 	echo '  "engine_micro_ns_per_op": {'
@@ -193,9 +189,9 @@ fi
 		END {
 			for (i = 1; i <= n; i++) {
 				c = order[i]
-				pb = ns[c ".perblock"]; st = ns[c ".streak"]; bt = ns[c ".batched"]
-				printf "    \"%s\": {\"perblock\": %s, \"streak\": %s, \"batched\": %s, \"speedup_streak\": %.2f, \"speedup\": %.2f}%s\n",
-					c, pb, st, bt, pb / st, pb / bt, (i < n ? "," : "")
+				pb = ns[c ".perblock"]; st = ns[c ".streak"]
+				printf "    \"%s\": {\"perblock\": %s, \"streak\": %s, \"speedup_streak\": %.2f}%s\n",
+					c, pb, st, pb / st, (i < n ? "," : "")
 			}
 		}'
 	echo '  },'
@@ -234,48 +230,52 @@ fi
 echo "wrote $OUT" >&2
 
 # --- regression gate -------------------------------------------------------
-# Compare the batched machine-run times against the previous checked-in
-# results. A cell fails only if it is BOTH >10% slower AND >100us slower
-# in absolute terms: the protected-scheme cells are ms-scale and get an
-# effective 10% gate, while the unprotected cells run in tens of
-# microseconds where session-to-session scheduling drift on shared
-# hardware routinely exceeds 10% (reproducible on an unmodified checkout)
-# and a pure relative gate just measures machine load. The sub-microsecond
-# engine micro numbers are excluded entirely for the same reason. Keys
-# present only in OUT (new sub-benchmarks like "streak") are not gated;
-# keys missing from OUT fail.
+# Compare the production-path times against the previous checked-in
+# results: machine_run_ns_per_op's "streak" leg (what every single-NPU
+# cell runs) and multi_npu_ns_per_op's "batched" leg. A cell fails only if
+# it is BOTH >10% slower AND >100us slower in absolute terms: the
+# protected-scheme cells are ms-scale and get an effective 10% gate, while
+# the unprotected cells run in tens of microseconds where
+# session-to-session scheduling drift on shared hardware routinely exceeds
+# 10% (reproducible on an unmodified checkout) and a pure relative gate
+# just measures machine load. The sub-microsecond engine micro numbers are
+# excluded entirely for the same reason. Keys present only in OUT are not
+# gated; keys missing from OUT fail.
 if [ -f "$PREV" ] && [ "$PREV" != "$OUT" ]; then
-	echo "checking batched machine-run and multi-NPU times against $PREV (>10% slower fails)..." >&2
-	extract_batched() {
-		awk -v blk="$2" '
+	echo "checking production-path machine-run and multi-NPU times against $PREV (>10% slower fails)..." >&2
+	# extract_leg FILE SECTION LEG prints "key value" for every cell of
+	# SECTION that records LEG.
+	extract_leg() {
+		awk -v blk="$2" -v leg="$3" '
 			index($0, "\"" blk "\"") { inblk = 1; next }
 			inblk && /^  \}/ { inblk = 0 }
-			inblk && /"batched":/ {
+			inblk && index($0, "\"" leg "\":") {
 				split($0, q, "\"")
-				v = $0; sub(/.*"batched": /, "", v); sub(/[,}].*/, "", v)
+				v = $0; sub(".*\"" leg "\": ", "", v); sub(/[,}].*/, "", v)
 				print q[2], v
 			}
 		' "$1"
 	}
 	fail=0
-	for section in machine_run_ns_per_op multi_npu_ns_per_op; do
+	for gate in machine_run_ns_per_op:streak multi_npu_ns_per_op:batched; do
+		section=${gate%%:*} leg=${gate#*:}
 		while read -r key old; do
-			new=$(extract_batched "$OUT" "$section" | awk -v k="$key" '$1 == k {print $2}')
+			new=$(extract_leg "$OUT" "$section" "$leg" | awk -v k="$key" '$1 == k {print $2}')
 			if [ -z "$new" ]; then
-				echo "  missing in $OUT: $section $key" >&2
+				echo "  missing in $OUT: $section $key $leg" >&2
 				fail=1
 				continue
 			fi
 			if echo "$old $new" | awk '{exit !($2 > $1 * 1.10 && $2 > $1 + 100000)}'; then
-				echo "  REGRESSION: $section $key batched $old -> $new ns/op (>10% and >100us slower)" >&2
+				echo "  REGRESSION: $section $key $leg $old -> $new ns/op (>10% and >100us slower)" >&2
 				fail=1
 			else
-				echo "  ok: $section $key batched $old -> $new ns/op" >&2
+				echo "  ok: $section $key $leg $old -> $new ns/op" >&2
 			fi
-		done < <(extract_batched "$PREV" "$section")
+		done < <(extract_leg "$PREV" "$section" "$leg")
 	done
 	if [ "$fail" != 0 ]; then
-		echo "batched path regressed vs $PREV" >&2
+		echo "production path regressed vs $PREV" >&2
 		exit 1
 	fi
 fi
