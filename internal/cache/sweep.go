@@ -50,6 +50,9 @@ type Sweep struct {
 	oldLen   []int32  // valid lines before the sweep
 	oldDirty []uint64 // dirty bitmask by LRU position (bit p = position p)
 	oldTags  []uint64 // old tags row-major [o*ways+pos], MRU first
+	// buf is CommitPrefix's per-set rebuild scratch (ways lines),
+	// retained so a commit clears no stack buffer.
+	buf []line
 }
 
 // Kind returns the sweep's classification.
@@ -89,6 +92,9 @@ func (c *Cache) BeginSweep(s *Sweep, addr uint64, n int, write bool) SweepKind {
 		s.oldTags = make([]uint64, touched*c.ways) //tnpu:allocok
 	}
 	s.oldTags = s.oldTags[:touched*c.ways]
+	if cap(s.buf) < c.ways {
+		s.buf = make([]line, c.ways) //tnpu:allocok
+	}
 
 	firstSet := c.setIndex(firstTag)
 	resident := 0
@@ -176,8 +182,8 @@ func (s *Sweep) CommitPrefix(k int) {
 			ks := countIncoming(o, k, c.sets)
 			// In-range lines with index < k, descending index (last touched is
 			// MRU), then the rest of the old order with those removed. Rebuild
-			// via a fixed-size local buffer (ways <= 64 checked at BeginSweep).
-			var buf [64]line
+			// via the retained buffer (at most ways lines).
+			buf := s.buf[:c.ways]
 			bn := 0
 			for j := ks - 1; j >= 0; j-- {
 				tag := s.firstTag + uint64(o) + uint64(j)*uint64(c.sets)
@@ -225,7 +231,7 @@ func (s *Sweep) CommitPrefix(k int) {
 		}
 		// Final content: in-range lines j in [max(0, ks-ways), ks)
 		// descending (MRU first), then surviving old lines in order.
-		var buf [64]line
+		buf := s.buf[:c.ways]
 		bn := 0
 		lo := maxI32(0, ks-ways)
 		for j := ks - 1; j >= lo; j-- {

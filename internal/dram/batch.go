@@ -1,5 +1,7 @@
 package dram
 
+import "math/bits"
+
 // This file is the run-length batched fast path of the bus model. Both
 // entry points are defined by exact equivalence to a per-block reference
 // loop — same bus state (busyUntil, remainder, gaps, byte/cycle counters),
@@ -227,7 +229,14 @@ func (c *channel) batchable(ready, n uint64) bool {
 		// of the run can start inside one.
 		return true
 	}
-	for _, g := range c.gaps {
+	// Only a wide gap (at least q64 == cLo cycles) can hold a block, and
+	// from liveFrom on only a live one.
+	m := c.wide
+	if ready+cLo >= c.liveFrom {
+		m &= c.live
+	}
+	for ; m != 0; m &= m - 1 {
+		g := &c.gaps[bits.TrailingZeros64(m)]
 		s := g.start
 		if ready > s {
 			s = ready

@@ -91,6 +91,14 @@ type channel struct {
 	// those can hold a block transfer (which costs q64 or q64+1 cycles),
 	// so block requests scan just them, in list order.
 	wide uint64 // derived from gaps, kept in step with them
+	// live has bit i set unless gaps[i] is known to end before liveFrom.
+	// A block fits a gap only if the gap ends at or after the block's
+	// frontier (ready plus its cycles), so a request whose frontier is at
+	// or past liveFrom scans only live gaps; each scan clears the bits of
+	// the gaps it finds ending below its frontier and advances liveFrom
+	// to it. A request below liveFrom scans every wide gap.
+	live     uint64 // derived from gaps, a superset of those ending at or after liveFrom
+	liveFrom uint64 // monotone frontier of the scans, derived
 	// q64/r64 split one block's tick count, BlockBytes*num = q64*den +
 	// r64, so a block charge needs no division: r64 and the carried
 	// remainder are both below den, so their sum carries at most once.
@@ -192,12 +200,28 @@ func (c *channel) transfer(ready, bytes uint64) (done uint64) {
 	// transfer can still land exactly at a gap's end, hence <=).
 	if ready <= c.maxGapEnd {
 		if bytes == BlockBytes {
-			for m := c.wide; m != 0; m &= m - 1 {
+			// A gap fits iff it is wide enough and ends at or after
+			// ready+cycles; gaps ending before the frontier are dropped
+			// from live on the way.
+			m, front := c.wide, ready+cycles
+			if front >= c.liveFrom {
+				m &= c.live
+			} else {
+				front = c.liveFrom
+			}
+			for ; m != 0; m &= m - 1 {
 				i := bits.TrailingZeros64(m)
-				if start := max(ready, c.gaps[i].start); start+cycles <= c.gaps[i].end {
+				g := &c.gaps[i]
+				start := max(ready, g.start)
+				if start+cycles <= g.end {
+					c.liveFrom = front
 					return c.useGap(i, start, cycles)
 				}
+				if g.end < front {
+					c.live &^= 1 << uint(i)
+				}
 			}
+			c.liveFrom = front
 		} else {
 			for i := range c.gaps {
 				if start := max(ready, c.gaps[i].start); start+cycles <= c.gaps[i].end {
@@ -228,6 +252,7 @@ func (c *channel) useGap(i int, start, cycles uint64) uint64 {
 	case start == g.start && end == g.end:
 		c.gaps = append(c.gaps[:i], c.gaps[i+1:]...)
 		c.wide = c.wide&(1<<uint(i)-1) | c.wide>>uint(i+1)<<uint(i)
+		c.live = c.live&(1<<uint(i)-1) | c.live>>uint(i+1)<<uint(i)
 		return end
 	case start == g.start:
 		g.start = end
@@ -240,6 +265,7 @@ func (c *channel) useGap(i int, start, cycles uint64) uint64 {
 		if len(c.gaps) < maxGaps {
 			c.gaps = append(c.gaps, later)
 			c.markWide(len(c.gaps) - 1)
+			c.live |= 1 << uint(len(c.gaps)-1)
 		}
 	}
 	c.markWide(i)
@@ -262,9 +288,11 @@ func (c *channel) recordGap(start, end uint64) {
 	if len(c.gaps) == maxGaps {
 		c.gaps = c.gaps[1:]
 		c.wide >>= 1
+		c.live >>= 1
 	}
 	c.gaps = append(c.gaps, gap{start, end})
 	c.markWide(len(c.gaps) - 1)
+	c.live |= 1 << uint(len(c.gaps)-1)
 	if end > c.maxGapEnd {
 		c.maxGapEnd = end
 	}
@@ -312,6 +340,13 @@ func (b *Bus) BusyCycles() uint64 {
 //
 //tnpu:pure
 func (b *Bus) Channels() int { return len(b.chans) }
+
+// BlockCyclesFloor returns the whole cycles one block transfer occupies
+// its channel, rounded down: every block clears at least this long after
+// it was presented.
+//
+//tnpu:pure
+func (b *Bus) BlockCyclesFloor() uint64 { return b.chans[0].q64 }
 
 // Utilization returns busy/(horizon*channels), or 0 before any traffic.
 func (b *Bus) Utilization() float64 {

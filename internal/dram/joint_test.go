@@ -3,6 +3,7 @@ package dram
 import (
 	"fmt"
 	"math/rand"
+	"reflect"
 	"testing"
 )
 
@@ -300,6 +301,46 @@ func TestWideGapMask(t *testing.T) {
 			}
 			if c.wide != want {
 				t.Fatalf("cfg %d step %d: wide = %064b, want %064b", ci, step, c.wide, want)
+			}
+		}
+	}
+}
+
+// TestLiveGapMask pins the live-gap mask to a full scan: a twin bus whose
+// mask is reset to "every gap live" before each request serves the same
+// random mix of block and odd-sized transfers (opening gaps, backfilling
+// them, and arriving below an earlier frontier) with identical results
+// and gaps, and the mask always covers every gap ending at or after
+// liveFrom.
+func TestLiveGapMask(t *testing.T) {
+	for ci, cfg := range []Config{smallCfg, largeCfg, {FreqHz: 3_000_000_000, BandwidthBytesPerSec: 7_000_000_000}} {
+		rng := rand.New(rand.NewSource(int64(ci)))
+		bus, twin := NewBus(cfg), NewBus(cfg)
+		c, tc := &bus.chans[0], &twin.chans[0]
+		for step := 0; step < 20000; step++ {
+			now := bus.Now()
+			ready := now
+			switch rng.Intn(4) {
+			case 0:
+				ready = now + uint64(rng.Intn(200)) // opens a gap
+			case 1, 2:
+				if back := uint64(rng.Intn(600)); back < now {
+					ready = now - back // may backfill, or fall below the frontier
+				}
+			}
+			bytes := uint64(BlockBytes)
+			if rng.Intn(8) == 0 {
+				bytes = uint64(rng.Intn(300))
+			}
+			tc.live, tc.liveFrom = ^uint64(0), 0
+			got, want := bus.TransferAt(ready, 0, bytes), twin.TransferAt(ready, 0, bytes)
+			if got != want || c.busyUntil != tc.busyUntil || c.rem != tc.rem || !reflect.DeepEqual(c.gaps, tc.gaps) {
+				t.Fatalf("cfg %d step %d: masked scan diverges from the full scan (done %d vs %d)", ci, step, got, want)
+			}
+			for i, g := range c.gaps {
+				if g.end >= c.liveFrom && c.live&(1<<uint(i)) == 0 {
+					t.Fatalf("cfg %d step %d: gap %d ends at %d, at or after liveFrom %d, but is not live", ci, step, i, g.end, c.liveFrom)
+				}
 			}
 		}
 	}

@@ -91,7 +91,19 @@ func (b *Bus) BeginSpanRun(sc *SpanCursor, w *IssueWindow, ready uint64, maxBloc
 // Exact by remainder telescoping; overflow is excluded by the batchable
 // check at BeginRun (j never exceeds maxBlocks).
 func (sc *SpanCursor) clearAt(j uint64) uint64 {
-	return sc.clear0 + j*sc.cur.q + (j*sc.cur.rr+sc.rem0)/sc.cur.den
+	c, _ := sc.clearRemAt(j)
+	return c
+}
+
+// clearRemAt is C(j) together with its carried remainder numerator,
+// (j*rr + rem0) mod den, from one division — none on a whole-cycle rate
+// (rr == 0), where no remainder ever carries.
+func (sc *SpanCursor) clearRemAt(j uint64) (clear, rem uint64) {
+	if sc.cur.rr == 0 {
+		return sc.clear0 + j*sc.cur.q, sc.rem0
+	}
+	x := j*sc.cur.rr + sc.rem0
+	return sc.clear0 + j*sc.cur.q + x/sc.cur.den, x % sc.cur.den
 }
 
 // push records a data range, dropping records that can no longer be
@@ -126,10 +138,37 @@ func (sc *SpanCursor) push(rec spanRec) {
 }
 
 // dataClear is D(g): the clear time of the g-th data block (0-indexed).
-// Queries are non-decreasing across calls, so a persistent cursor walks
-// the FIFO in O(1) amortized; a backward query resets it (never happens on
-// the hot path).
 func (sc *SpanCursor) dataClear(g uint64) uint64 {
+	rec, off := sc.find(g)
+	return sc.clearAt(rec.charge(off))
+}
+
+// dataClears is D(g) and D(g+1) — the two gates every Data call asks
+// for — from one record walk and one division: when both blocks lie in
+// one record's period their charges are consecutive, so D(g+1) is one
+// more block charge on top of D(g).
+func (sc *SpanCursor) dataClears(g uint64) (d0, d1 uint64) {
+	rec, off := sc.find(g)
+	j := rec.charge(off)
+	d0, rem := sc.clearRemAt(j)
+	if off+1 >= uint64(rec.n) {
+		return d0, sc.dataClear(g + 1)
+	}
+	if j1 := rec.charge(off + 1); j1 != j+1 {
+		return d0, sc.clearAt(j1)
+	}
+	d1 = d0 + sc.cur.q
+	if rem+sc.cur.rr >= sc.cur.den {
+		d1++
+	}
+	return d0, d1
+}
+
+// find returns the record holding data block g and g's offset in it.
+// Queries are non-decreasing across calls, so a persistent cursor walks
+// the FIFO in O(1) amortized; a backward query resets it (never happens
+// on the hot path).
+func (sc *SpanCursor) find(g uint64) (*spanRec, uint64) {
 	for {
 		p := sc.head + sc.look
 		if p >= len(sc.fifo) {
@@ -144,15 +183,23 @@ func (sc *SpanCursor) dataClear(g uint64) uint64 {
 			continue
 		}
 		if off := g - rec.g; off < uint64(rec.n) {
-			period, o := off/uint64(rec.m), off%uint64(rec.m)
-			j := rec.j + period*uint64(rec.m+rec.lead+rec.trail) + uint64(rec.lead) + o + 1
-			return sc.clearAt(j)
+			return rec, off
 		}
 		sc.look++
 		if sc.look >= sc.cnt {
 			panic("dram: SpanCursor gate query above recorded data blocks")
 		}
 	}
+}
+
+// charge returns the charge index (1-based) of the record's off-th data
+// block.
+func (rec *spanRec) charge(off uint64) uint64 {
+	if rec.lead == 0 && rec.trail == 0 {
+		return rec.j + off + 1 // plain span or metadata-free periods
+	}
+	period, o := off/uint64(rec.m), off%uint64(rec.m)
+	return rec.j + period*uint64(rec.m+rec.lead+rec.trail) + uint64(rec.lead) + o + 1
 }
 
 // Meta appends k metadata block charges at the horizon, returning the new
@@ -190,11 +237,12 @@ func (sc *SpanCursor) Data(r uint64, k int) (lastFree, lastIssue, nextR uint64) 
 	sc.g += uint64(k)
 	sc.j += uint64(k)
 	lastIssue = r + uint64(k-1)
-	if gl := sc.dataClear(sc.g - 1 - uint64(depth)); gl > lastIssue {
+	gl, ng := sc.dataClears(sc.g - 1 - uint64(depth))
+	if gl > lastIssue {
 		lastIssue = gl
 	}
 	nextR = lastIssue + 1
-	if ng := sc.dataClear(sc.g - uint64(depth)); ng > nextR {
+	if ng > nextR {
 		nextR = ng
 	}
 	return lastFree, lastIssue, nextR
@@ -220,15 +268,16 @@ func (sc *SpanCursor) DataPeriodic(r uint64, periods, m, lead, trail int) (lastF
 	sc.cur.Charge(periods * (m + lead + trail))
 	sc.g += totalData
 	sc.j += uint64(periods) * uint64(m+lead+trail)
-	lastFree = sc.dataClear(sc.g - 1)
 	lastIssue = r + totalData - 1
-	if gl := sc.dataClear(sc.g - 1 - depth); gl > lastIssue {
+	gl, ng := sc.dataClears(sc.g - 1 - depth)
+	if gl > lastIssue {
 		lastIssue = gl
 	}
 	nextR = lastIssue + 1
-	if ng := sc.dataClear(sc.g - depth); ng > nextR {
+	if ng > nextR {
 		nextR = ng
 	}
+	lastFree = sc.dataClear(sc.g - 1)
 	return lastFree, lastIssue, nextR, true
 }
 

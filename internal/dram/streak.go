@@ -94,6 +94,12 @@ func (cur *RunCursor) Charge(k int) uint64 {
 		cur.blocks++
 		return cur.clear
 	}
+	if cur.rr == 0 {
+		// Whole-cycle blocks: the carried remainder never grows.
+		cur.clear += uint64(k) * cur.q
+		cur.blocks += uint64(k)
+		return cur.clear
+	}
 	t := uint64(k)*cur.rr + cur.remAcc
 	cur.clear += uint64(k)*cur.q + t/cur.den
 	cur.remAcc = t % cur.den

@@ -50,6 +50,7 @@ func RunBatch(prog *compiler.Program, scheme memprot.Scheme, cfg npu.Config, req
 		return BatchResult{}, err
 	}
 	res := BatchResult{Scheme: scheme, Requests: requests}
+	tio := newTensorIO(eng, bus)
 
 	// One-time parameter load (weights only; the input reloads per
 	// request below).
@@ -59,10 +60,7 @@ func RunBatch(prog *compiler.Program, scheme memprot.Scheme, cfg npu.Config, req
 			continue
 		}
 		t = eng.VersionFetch(t, memprot.VTableSlot(uint32(ten.ID), 0), true)
-		for blk := uint64(0); blk < ten.Blocks(); blk++ {
-			busFree, _ := eng.WriteBlock(t, ten.Addr+blk*dram.BlockBytes, 1)
-			t = busFree
-		}
+		t = tio.write(t, ten)
 	}
 	res.InitCycles = t
 
@@ -75,10 +73,7 @@ func RunBatch(prog *compiler.Program, scheme memprot.Scheme, cfg npu.Config, req
 		// the per-request state equivalently because each request's
 		// machine is independent.
 		issue := eng.VersionFetch(end, memprot.VTableSlot(uint32(input.ID), 0), true)
-		for blk := uint64(0); blk < input.Blocks(); blk++ {
-			busFree, _ := eng.WriteBlock(issue, input.Addr+blk*dram.BlockBytes, 1)
-			issue = busFree
-		}
+		issue = tio.write(issue, input)
 		m := npu.NewMachine(prog, eng)
 		m.Run()
 		runEnd := m.Cycles()
@@ -86,15 +81,7 @@ func RunBatch(prog *compiler.Program, scheme memprot.Scheme, cfg npu.Config, req
 			runEnd = issue
 		}
 		issue = eng.VersionFetch(runEnd, memprot.VTableSlot(uint32(out.ID), 0), false)
-		done := issue
-		for blk := uint64(0); blk < out.Blocks(); blk++ {
-			busFree, dataAt := eng.ReadBlock(issue, out.Addr+blk*dram.BlockBytes, 1)
-			issue = busFree
-			if dataAt > done {
-				done = dataAt
-			}
-		}
-		end = done
+		end = tio.read(issue, out)
 	}
 	res.TotalCycles = end
 	res.PerRequestCycles = (end - res.InitCycles) / uint64(requests)

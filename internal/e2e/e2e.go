@@ -57,6 +57,7 @@ func Run(prog *compiler.Program, scheme memprot.Scheme, cfg npu.Config) (Result,
 		return Result{}, err
 	}
 	res := Result{Scheme: scheme}
+	tio := newTensorIO(eng, bus)
 
 	// Phase 1: the CPU streams parameters through ts_write_block. One
 	// version-table update per tensor, then block-granular writes.
@@ -66,10 +67,7 @@ func Run(prog *compiler.Program, scheme memprot.Scheme, cfg npu.Config) (Result,
 			continue
 		}
 		t = eng.VersionFetch(t, memprot.VTableSlot(uint32(ten.ID), 0), true)
-		for blk := uint64(0); blk < ten.Blocks(); blk++ {
-			busFree, _ := eng.WriteBlock(t, ten.Addr+blk*dram.BlockBytes, 1)
-			t = busFree
-		}
+		t = tio.write(t, ten)
 	}
 	res.InitCycles = t
 
@@ -86,14 +84,7 @@ func Run(prog *compiler.Program, scheme memprot.Scheme, cfg npu.Config) (Result,
 	// Phase 3: the CPU fetches the final output tensor via ts_read_block.
 	out := prog.Tensors[len(prog.Tensors)-1]
 	issue := eng.VersionFetch(runEnd, memprot.VTableSlot(uint32(out.ID), 0), false)
-	done := issue
-	for blk := uint64(0); blk < out.Blocks(); blk++ {
-		busFree, dataAt := eng.ReadBlock(issue, out.Addr+blk*dram.BlockBytes, 1)
-		issue = busFree
-		if dataAt > done {
-			done = dataAt
-		}
-	}
+	done := tio.read(issue, out)
 	res.OutputCycles = done - runEnd
 	res.Total = done
 	t = done

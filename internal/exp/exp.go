@@ -193,8 +193,9 @@ type cell[V any] struct {
 // compute memoizes fn under k in m: exactly one caller runs fn, everyone
 // gets its result. Fresh computations are timed into the runner's RunLog.
 // If fn panics, the cell is released rather than cached: its map entry is
-// removed, waiters get an error, and the panic continues in the caller, so
-// a later request for k runs fn again.
+// removed, waiters get the panic as an *InvariantError, and the panic
+// continues in the caller as that same error value, so a later request for
+// k runs fn again and a fan-out (forEach) returns it as an error.
 func compute[K comparable, V any](r *Runner, m map[K]*cell[V], k K, kind, label string, fn func() (V, error)) (V, error) {
 	r.freeze()
 	r.mu.Lock()
@@ -210,13 +211,23 @@ func compute[K comparable, V any](r *Runner, m map[K]*cell[V], k K, kind, label 
 
 	finished := false
 	defer func() {
-		if !finished {
-			r.mu.Lock()
-			delete(m, k)
-			r.mu.Unlock()
-			c.err = fmt.Errorf("exp: %s cell %s panicked", kind, label)
+		if finished {
+			close(c.done)
+			return
 		}
+		p := recover()
+		r.mu.Lock()
+		delete(m, k)
+		r.mu.Unlock()
+		if p == nil { // runtime.Goexit: nothing to re-raise
+			c.err = fmt.Errorf("exp: %s cell %s exited", kind, label)
+			close(c.done)
+			return
+		}
+		ie := AsInvariant(p, kind+" cell "+label)
+		c.err = ie
 		close(c.done)
+		panic(ie)
 	}()
 	start := time.Now()
 	c.val, c.err = fn()

@@ -33,6 +33,8 @@ func (r *Runner) workers() int {
 // write its result into an index-addressed slot owned by the caller so
 // output order never depends on goroutine scheduling. The returned error
 // is the lowest-index failure — the same one a sequential loop surfaces.
+// A panicking fn(i) fails item i with an *InvariantError (ErrInvariant)
+// instead of taking the process down.
 func (r *Runner) forEach(n int, fn func(i int) error) error {
 	r.freeze()
 	w := r.workers()
@@ -41,7 +43,7 @@ func (r *Runner) forEach(n int, fn func(i int) error) error {
 	}
 	if w <= 1 {
 		for i := 0; i < n; i++ {
-			if err := fn(i); err != nil {
+			if err := guarded(fn, i); err != nil {
 				return err
 			}
 		}
@@ -59,7 +61,7 @@ func (r *Runner) forEach(n int, fn func(i int) error) error {
 				if i >= n {
 					return
 				}
-				errs[i] = fn(i)
+				errs[i] = guarded(fn, i)
 			}
 		}()
 	}
@@ -70,6 +72,16 @@ func (r *Runner) forEach(n int, fn func(i int) error) error {
 		}
 	}
 	return nil
+}
+
+// guarded runs fn(i), returning a panic as an *InvariantError.
+func guarded(fn func(i int) error, i int) (err error) {
+	defer func() {
+		if p := recover(); p != nil {
+			err = AsInvariant(p, fmt.Sprintf("item %d", i))
+		}
+	}()
+	return fn(i)
 }
 
 // CellTime records one computed cell: a compile, a multi-NPU simulation,

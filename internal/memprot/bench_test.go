@@ -5,7 +5,14 @@ import (
 	"testing"
 
 	"tnpu/internal/dram"
+	"tnpu/internal/isa"
 )
+
+// denseRun is the one-segment instruction the run benchmarks stream:
+// blocks consecutive blocks from address 0.
+func denseRun(blocks uint64) []isa.Segment {
+	return []isa.Segment{{Addr: 0, Bytes: blocks * dram.BlockBytes}}
+}
 
 // BenchmarkReadBlock measures the per-block engine path: a dense sequential
 // read stream pushed through ReadBlock one block at a time, per scheme.
@@ -51,7 +58,7 @@ func BenchmarkReadRun(b *testing.B) {
 					b.Fatalf("%v engine does not implement RunEngine", scheme)
 				}
 				w := dram.NewIssueWindow(16)
-				re.ReadRun(0, 0, 1, blocks, w)
+				re.ReadRun(0, denseRun(blocks), 0, 0, 1, w)
 			}
 			b.SetBytes(blocks * dram.BlockBytes)
 		})
@@ -72,11 +79,12 @@ func BenchmarkReadRunHot(b *testing.B) {
 			}
 			re := e.(RunEngine)
 			w := dram.NewIssueWindow(16)
-			r, _ := re.ReadRun(0, 0, 1, blocks, w) // warm caches and buffers
+			segs := denseRun(blocks)
+			r, _ := re.ReadRun(0, segs, 0, 0, 1, w) // warm caches and buffers
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				r, _ = re.ReadRun(r, 0, 1, blocks, w)
+				r, _ = re.ReadRun(r, segs, 0, 0, 1, w)
 			}
 			b.SetBytes(blocks * dram.BlockBytes)
 		})
@@ -94,11 +102,12 @@ func BenchmarkWriteRunHot(b *testing.B) {
 			}
 			re := e.(RunEngine)
 			w := dram.NewIssueWindow(16)
-			r, _ := re.WriteRun(0, 0, 1, blocks, w)
+			segs := denseRun(blocks)
+			r, _ := re.WriteRun(0, segs, 0, 0, 1, w)
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				r, _ = re.WriteRun(r, 0, 1, blocks, w)
+				r, _ = re.WriteRun(r, segs, 0, 0, 1, w)
 			}
 			b.SetBytes(blocks * dram.BlockBytes)
 		})
@@ -108,24 +117,39 @@ func BenchmarkWriteRunHot(b *testing.B) {
 // TestBatchedRunNoAllocs pins the zero-allocation property of the batched
 // hot path: after one warmup run (which sizes the engine-owned streak
 // buffers and the minor-counter map), steady-state ReadRun/WriteRun must
-// not allocate for any scheme.
+// not allocate for any scheme — on a dense one-segment instruction and on
+// a strided multi-segment one whose segments start mid-line, revisit
+// earlier lines, and include runs of 1-block segments.
 func TestBatchedRunNoAllocs(t *testing.T) {
 	const blocks = 4096
-	for _, scheme := range AllSchemes() {
-		e, err := New(scheme, DefaultConfig(smallBus()))
-		if err != nil {
-			t.Fatal(err)
-		}
-		re := e.(RunEngine)
-		w := dram.NewIssueWindow(16)
-		var r uint64
-		step := func() {
-			r, _ = re.ReadRun(r, 0, 1, blocks, w)
-			r, _ = re.WriteRun(r, 0, 1, blocks, w)
-		}
-		step() // warmup
-		if avg := testing.AllocsPerRun(20, step); avg != 0 {
-			t.Errorf("%v: batched hot path allocates %.1f times per run, want 0", scheme, avg)
+	var strided []isa.Segment
+	for k := uint64(0); k < 64; k++ {
+		strided = append(strided, isa.Segment{Addr: k*40*dram.BlockBytes + 24, Bytes: 20 * dram.BlockBytes})
+	}
+	for k := uint64(0); k < 16; k++ {
+		strided = append(strided, isa.Segment{Addr: k * 3 * dram.BlockBytes, Bytes: dram.BlockBytes})
+	}
+	for _, run := range []struct {
+		name string
+		segs []isa.Segment
+	}{{"dense", denseRun(blocks)}, {"multi-segment", strided}} {
+		for _, scheme := range AllSchemes() {
+			e, err := New(scheme, DefaultConfig(smallBus()))
+			if err != nil {
+				t.Fatal(err)
+			}
+			re := e.(RunEngine)
+			w := dram.NewIssueWindow(16)
+			var r uint64
+			segs := run.segs
+			step := func() {
+				r, _ = re.ReadRun(r, segs, segs[0].Addr&^(dram.BlockBytes-1), 0, 1, w)
+				r, _ = re.WriteRun(r, segs, segs[0].Addr&^(dram.BlockBytes-1), 0, 1, w)
+			}
+			step() // warmup
+			if avg := testing.AllocsPerRun(20, step); avg != 0 {
+				t.Errorf("%s/%v: batched hot path allocates %.1f times per run, want 0", run.name, scheme, avg)
+			}
 		}
 	}
 }
@@ -148,7 +172,7 @@ func BenchmarkWriteRun(b *testing.B) {
 					}
 					w := dram.NewIssueWindow(16)
 					if batched {
-						e.(RunEngine).WriteRun(0, 0, 1, blocks, w)
+						e.(RunEngine).WriteRun(0, denseRun(blocks), 0, 0, 1, w)
 					} else {
 						runPerBlock(e, false, 0, 0, 1, blocks, w)
 					}

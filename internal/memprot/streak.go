@@ -20,10 +20,17 @@ import (
 // streak before touching state and is served by the retained reference
 // code. DESIGN.md section 6d spells out the equivalence argument.
 
-// streakMinBlocks gates streak entry: below it the per-line path's fixed
-// costs are already small and BeginRun's window scan wouldn't pay for
-// itself.
+// streakMinBlocks gates streak entry on the blocks an instruction has
+// left: below it the per-line path's fixed costs are already small and
+// BeginRun's window scan wouldn't pay for itself.
 const streakMinBlocks = 24
+
+// sweepMinLines gates the closed-form MAC-line sweep on a segment's line
+// count. A sweep prescans and later rebuilds every touched set, which
+// only pays off once it can collapse a hot segment or a cold periodic
+// tail; a short segment takes the exact sequential walk, whose per-line
+// outcomes the streak serves just the same.
+const sweepMinLines = 16
 
 // metaCharger appends metadata block charges at the channel horizon and
 // returns the new horizon: a SpanCursor inside one engine run, or a
@@ -46,22 +53,31 @@ func macLineCount(addr, slotBytes uint64, n int) int {
 	return int(last-first) + 1
 }
 
-// readStreak is the treeless ReadRun fast path. The caller has primed
-// t.cur via BeginSpanRun; every charge of a treeless read appends (data at
-// issue times, MAC writebacks and fetches at the current boundary's issue
-// time), so no mid-streak exit can occur. MAC-line outcomes come from a
-// cache sweep when the range is uniformly resident or absent — a hot sweep
-// collapses the whole run to one span charge, a cold sweep walks the
-// capacity prefix per line and collapses the steady-state tail to one
-// periodic charge — with the exact sequential walk as the mixed fallback.
+// readStreak serves one segment (or a segment's rest) of a treeless read
+// instruction inside the open streak: the caller primed t.cur via
+// BeginSpanRun for the whole instruction, passes the data blocks earlier
+// segments left deferred in pending, and flushes and commits after the
+// last segment. Every charge of a treeless read appends (data at issue
+// times, MAC writebacks and fetches at the current boundary's issue time),
+// so no mid-streak exit can occur. MAC-line outcomes come from a cache
+// sweep when the segment's lines are uniformly resident or absent — a hot
+// sweep defers the whole segment as data, a cold sweep walks the capacity
+// prefix per line and collapses the steady-state tail to one periodic
+// charge — with the exact sequential walk as the mixed fallback. The
+// segment's first block is a line event like any other: data deferred
+// before it charges identically whatever its addresses, because data
+// charges on one channel do not depend on them.
 // //tnpu:noalloc //tnpu:fastpath
-func (t *treeless) readStreak(ready, addr uint64, n int, w *dram.IssueWindow) (nextReady, maxDataAt uint64) {
+func (t *treeless) readStreak(r, addr uint64, n, pending int) (nextR uint64, pend int, maxDataAt uint64) {
 	cur := &t.cur
 	lat := t.cfg.Bus.Latency()
 	slot := t.cfg.MACSlotBytes
 	nLines := macLineCount(addr, slot, n)
 	lineAddr := macLineAddr(addr, slot)
-	kind := t.mac.BeginSweep(&t.sweep, lineAddr, nLines, false)
+	kind := cache.SweepMixed
+	if nLines >= sweepMinLines {
+		kind = t.mac.BeginSweep(&t.sweep, lineAddr, nLines, false)
+	}
 	mixed := kind == cache.SweepMixed
 	if mixed {
 		t.macOut = t.mac.AccessStreak(lineAddr, nLines, false, t.macOut[:0])
@@ -70,12 +86,11 @@ func (t *treeless) readStreak(ready, addr uint64, n int, w *dram.IssueWindow) (n
 	t.traffic.AddRead(stats.Data, uint64(n)*dram.BlockBytes)
 
 	if kind == cache.SweepHot {
-		// Every line hits clean: the entire run is one deferred data span,
-		// and the final block's arrival dominates every per-line term.
-		lastFree, _, nr := cur.Data(ready, n)
+		// Every line hits clean: the entire segment is deferred data, and
+		// the arrival of the flush that charges it dominates every
+		// per-line term.
 		t.sweep.CommitPrefix(nLines)
-		cur.Commit()
-		return nr, lastFree + lat + t.cfg.XTSCycles + t.cfg.MACCycles
+		return r, pending + n, 0
 	}
 
 	// Cold runs: every line misses, so a line's whole charge pattern is
@@ -91,14 +106,14 @@ func (t *treeless) readStreak(ready, addr uint64, n int, w *dram.IssueWindow) (n
 		uniform = t.sweep.UniformFrom()
 	}
 
-	r := ready
-	pending := 0 // contiguous data blocks awaiting one span charge
 	li := 0
 	for i := 0; i < n; li++ {
-		// pending == mFull-1 certifies the previous line was a full miss
-		// (cold runs have no pure lines), so this line starts aligned and
-		// each period's span is exactly mFull blocks.
-		if mFull > 0 && pending == mFull-1 {
+		// Inside a segment, pending == mFull-1 certifies the previous line
+		// was a full miss (cold runs have no pure lines), so this line
+		// starts aligned and each period's span is exactly mFull blocks.
+		// At the segment's first line pending is what earlier segments
+		// deferred, so alignment is checked explicitly.
+		if mFull > 0 && pending == mFull-1 && (i > 0 || (addr/dram.BlockBytes)%uint64(mFull) == 0) {
 			if P := (n - i) / mFull; P >= 2 {
 				wb := t.sweep.Outcome(li).Writeback
 				p := 1
@@ -176,30 +191,26 @@ func (t *treeless) readStreak(ready, addr uint64, n int, w *dram.IssueWindow) (n
 		pending = m - 1
 		i += m
 	}
-	if pending > 0 {
-		lastFree, _, nr := cur.Data(r, pending)
-		r = nr
-		if d := lastFree + lat + t.cfg.XTSCycles + t.cfg.MACCycles; d > maxDataAt {
-			maxDataAt = d
-		}
-	}
 	if !mixed {
 		t.sweep.CommitPrefix(nLines)
 	}
-	cur.Commit()
-	return r, maxDataAt
+	return r, pending, maxDataAt
 }
 
-// writeStreak is the treeless WriteRun fast path: MAC updates are
+// writeStreak is readStreak's write counterpart: MAC updates are
 // write-validated (no fetch), so the only metadata charges are dirty MAC
-// writebacks, each preceding its line's boundary data block.
+// writebacks, each preceding its line's boundary data block. Data is
+// deferred in pending and flushed by the caller after the last segment.
 // //tnpu:noalloc //tnpu:fastpath
-func (t *treeless) writeStreak(ready, addr uint64, n int, w *dram.IssueWindow) (nextReady, maxDataAt uint64) {
+func (t *treeless) writeStreak(r, addr uint64, n, pending int) (nextR uint64, pend int) {
 	cur := &t.cur
 	slot := t.cfg.MACSlotBytes
 	nLines := macLineCount(addr, slot, n)
 	lineAddr := macLineAddr(addr, slot)
-	kind := t.mac.BeginSweep(&t.sweep, lineAddr, nLines, true)
+	kind := cache.SweepMixed
+	if nLines >= sweepMinLines {
+		kind = t.mac.BeginSweep(&t.sweep, lineAddr, nLines, true)
+	}
 	mixed := kind == cache.SweepMixed
 	if mixed {
 		t.macOut = t.mac.AccessStreak(lineAddr, nLines, true, t.macOut[:0])
@@ -209,10 +220,8 @@ func (t *treeless) writeStreak(ready, addr uint64, n int, w *dram.IssueWindow) (
 
 	if kind == cache.SweepHot {
 		// Every line hits (MAC updated in place): one deferred data span.
-		lastFree, _, nr := cur.Data(ready, n)
 		t.sweep.CommitPrefix(nLines)
-		cur.Commit()
-		return nr, lastFree
+		return r, pending + n
 	}
 
 	// Cold runs (see readStreak): every line misses, and on the write path
@@ -227,8 +236,6 @@ func (t *treeless) writeStreak(ready, addr uint64, n int, w *dram.IssueWindow) (
 		uniform = t.sweep.UniformFrom()
 	}
 
-	r := ready
-	pending := 0
 	li := 0
 	for i := 0; i < n; li++ {
 		if mFull > 0 {
@@ -289,14 +296,10 @@ func (t *treeless) writeStreak(ready, addr uint64, n int, w *dram.IssueWindow) (
 		}
 		i += m
 	}
-	// Writes complete at their bus-clear time; the run's last charge is
-	// always a data block, so its clear dominates every earlier one.
-	lastFree, _, nr := cur.Data(r, pending)
 	if !mixed {
 		t.sweep.CommitPrefix(nLines)
 	}
-	cur.Commit()
-	return nr, lastFree
+	return r, pending
 }
 
 // --- baseline (tree-based): chunk-wise streaks with reference fallback ---
@@ -404,6 +407,9 @@ func (b *baseline) beginMacSweep(addr uint64, from, n int, write bool) bool {
 	}
 	a := addr + uint64(from)*dram.BlockBytes
 	lines := macLineCount(a, b.cfg.MACSlotBytes, n-from)
+	if lines < sweepMinLines {
+		return false
+	}
 	return b.mac.BeginSweep(&b.sweep, macLineAddr(a, b.cfg.MACSlotBytes), lines, write) != cache.SweepMixed
 }
 

@@ -26,9 +26,12 @@ const slotStride uint64 = 2 << 20
 
 // NPUStats attributes served work to one NPU — the per-tenant QoS view of
 // a co-tenant run. Cycles, Blocks, and byte counters are identical across
-// execution paths (pinned by the differential suite); Runs counts
-// engine-level run bursts and is observability for the batched path only
-// (zero under block-granular interleave).
+// execution paths (pinned by the differential suite); Runs counts the DMA
+// segments engine-level run bursts served and is observability for the
+// batched path only (zero under block-granular interleave). One engine
+// call serves all of an instruction's remaining segments; Runs stays per
+// segment because it is persisted in cell results (the engine calls are
+// counted by PathStats instead).
 type NPUStats struct {
 	Cycles     uint64
 	Blocks     uint64

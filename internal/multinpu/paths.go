@@ -9,11 +9,15 @@ import (
 	"tnpu/internal/npu"
 )
 
-// PathBlocks splits served blocks by execution path.
+// PathBlocks splits served blocks by execution path, and counts the
+// engine calls the burst path made.
 type PathBlocks struct {
 	Joint uint64 // served by the co-tenant joint path
 	Burst uint64 // served by whole-run bursts (ServeRun)
 	Block uint64 // served one at a time (ServeBlock)
+	// Calls counts RunEngine calls: one per burst-served instruction,
+	// however many segments it has.
+	Calls uint64
 }
 
 // PathStats is the execution-path breakdown of co-tenant (count >= 2)
@@ -39,7 +43,7 @@ func (ps *PathStats) note(machines []*npu.Machine) {
 	ps.NPUs = ps.NPUs[:0]
 	for _, m := range machines {
 		j, b, s := m.PathBlocks()
-		ps.NPUs = append(ps.NPUs, PathBlocks{Joint: j, Burst: b, Block: s})
+		ps.NPUs = append(ps.NPUs, PathBlocks{Joint: j, Burst: b, Block: s, Calls: m.EngineRuns()})
 	}
 }
 
@@ -50,16 +54,17 @@ func (ps *PathStats) Sum() PathBlocks {
 		t.Joint += n.Joint
 		t.Burst += n.Burst
 		t.Block += n.Block
+		t.Calls += n.Calls
 	}
 	return t
 }
 
-// String renders the counters on one line: blocks per path, joint runs by
-// end, and fallbacks by reason (zero counts omitted).
+// String renders the counters on one line: blocks per path, engine run
+// calls, joint runs by end, and fallbacks by reason (zero counts omitted).
 func (ps *PathStats) String() string {
 	t := ps.Sum()
 	var b strings.Builder
-	fmt.Fprintf(&b, "blocks joint %d, burst %d, block %d; joint runs %d", t.Joint, t.Burst, t.Block, ps.JointRuns)
+	fmt.Fprintf(&b, "blocks joint %d, burst %d, block %d; run calls %d; joint runs %d", t.Joint, t.Burst, t.Block, t.Calls, ps.JointRuns)
 	writeReasons(&b, &ps.JointEnds)
 	b.WriteString("; fallbacks")
 	writeReasons(&b, &ps.Fallbacks)
@@ -101,6 +106,7 @@ func (p *pathTotals) add(ps *PathStats) {
 	p.s.NPUs[0].Joint += sum.Joint
 	p.s.NPUs[0].Burst += sum.Burst
 	p.s.NPUs[0].Block += sum.Block
+	p.s.NPUs[0].Calls += sum.Calls
 	p.s.JointRuns += ps.JointRuns
 	for r := range ps.JointEnds {
 		p.s.JointEnds[r] += ps.JointEnds[r]

@@ -180,6 +180,47 @@ func TestBatchedDefault(t *testing.T) {
 	}
 }
 
+// TestEngineRunsPerInstruction pins the batched path's call structure on
+// every workload: Run makes one RunEngine call per DMA instruction, and
+// RunsServed still counts the instructions' segments. The per-block
+// reference makes neither.
+func TestEngineRunsPerInstruction(t *testing.T) {
+	for _, cfg := range []Config{SmallNPU(), LargeNPU()} {
+		for _, short := range model.ShortNames() {
+			prog := compileFor(t, short, cfg)
+			var instrs, segs uint64
+			for _, in := range prog.Trace.Instrs {
+				if in.IsDMA() {
+					instrs++
+					segs += uint64(len(in.Segments))
+				}
+			}
+			for _, scheme := range memprot.AllSchemes() {
+				for _, batched := range []bool{true, false} {
+					if !batched && short != "df" {
+						continue // the reference is slow; one workload shows the zeros
+					}
+					eng, err := memprot.New(scheme, memprot.DefaultConfig(dram.NewBus(cfg.Mem)))
+					if err != nil {
+						t.Fatal(err)
+					}
+					m := NewMachine(prog, eng)
+					m.SetBatched(batched)
+					m.Run()
+					wantCalls, wantRuns := uint64(0), uint64(0)
+					if batched {
+						wantCalls, wantRuns = instrs, segs
+					}
+					if m.EngineRuns() != wantCalls || m.RunsServed() != wantRuns {
+						t.Errorf("%s/%s/%s batched=%v: %d engine runs serving %d segments, want %d and %d",
+							cfg.Name, short, scheme, batched, m.EngineRuns(), m.RunsServed(), wantCalls, wantRuns)
+					}
+				}
+			}
+		}
+	}
+}
+
 // boundaryProgram builds a two-layer program around mvin/mvout segment
 // lists: layer 0 holds the warm-up instructions, layer 1 the probe, so
 // state (dirty metadata lines, minor counts, bus horizon) carries across a
@@ -408,6 +449,246 @@ func buildFuzzProgram(f *fuzzReader) *compiler.Program {
 	return prog
 }
 
+// batchedFuzzCase is one decoded FuzzBatchedVsPerBlock input: a memory
+// geometry, a scheme, the protection knobs, and a program.
+type batchedFuzzCase struct {
+	prog     *compiler.Program
+	scheme   memprot.Scheme
+	cfg      Config
+	slot     uint64
+	arity    uint64
+	mshrs    int
+	prefetch bool
+	ctrBytes int
+}
+
+// mutate applies the drawn protection knobs. It runs once per path, so
+// both paths see the identical configuration.
+func (c *batchedFuzzCase) mutate(m *memprot.Config) {
+	m.MACSlotBytes = c.slot
+	m.TreeArity = c.arity
+	m.WalkMSHRs = c.mshrs
+	m.CounterPrefetch = c.prefetch
+	m.CounterCacheBytes = c.ctrBytes
+}
+
+// decodeBatchedFuzz reads a fuzz input: the memory geometry (frequency,
+// bandwidth, latency, channels), the scheme, the protection knobs (MAC
+// slot, tree arity, walk MSHRs, prefetch, counter-cache size), then
+// buildFuzzProgram's fields.
+func decodeBatchedFuzz(data []byte) batchedFuzzCase {
+	fr := &fuzzReader{data: data}
+	mem := dram.Config{
+		FreqHz:               []uint64{1_000_000_000, 2_750_000_000, 3_000_000_000}[fr.byte()%3],
+		BandwidthBytesPerSec: []uint64{7_000_000_000, 11_000_000_000, 22_000_000_000}[fr.byte()%3],
+		LatencyCycles:        []uint64{0, 10, 100}[fr.byte()%3],
+		Channels:             int(fr.byte()%4) + 1,
+	}
+	c := batchedFuzzCase{scheme: memprot.AllSchemes()[fr.byte()%4]}
+	c.slot = []uint64{4, 8, 16, 24, 64}[fr.byte()%5]
+	c.arity = []uint64{8, 64}[fr.byte()%2]
+	c.mshrs = 1 + int(fr.byte()%2)
+	c.prefetch = fr.byte()%2 == 0
+	c.ctrBytes = []int{64, 256, 4 << 10}[fr.byte()%3]
+	c.prog = buildFuzzProgram(fr)
+	c.cfg = SmallNPU()
+	c.cfg.Mem = mem
+	return c
+}
+
+// segmentEdgeSeeds are FuzzBatchedVsPerBlock seeds at the segment edges of
+// the per-instruction run path; TestSegmentEdgeSeeds checks that each one
+// reaches the edge it names. The byte layout is decodeBatchedFuzz's: 2.75
+// GHz, 11 GB/s, 100-cycle latency, channels, scheme, 8B MAC slots, arity
+// 64, two MSHRs, no prefetch, 4KB counter cache, then an instruction count
+// and buildFuzzProgram's per-op fields. Each program ends with a compute
+// instruction and one layer.
+var segmentEdgeSeeds = []struct {
+	name string
+	data []byte
+	hit  func(c *batchedFuzzCase) bool
+}{
+	// tnpu: 126 rewrites of blocks 2-4, each start inside the open MAC line.
+	{"segment-start-inside-open-mac-line", []byte{1, 1, 2, 0, 2, 1, 1, 1, 1, 2, 0,
+		4, 1, 0, 1, 0x00, 0x02, 0x00, 0x02, 0,
+		3, 0x00, 0x10, 1, 0},
+		func(c *batchedFuzzCase) bool {
+			return c.scheme == memprot.TreeLess && hasSegmentPair(c, func(prevLast, first uint64) bool {
+				line := 64 / c.slot
+				return first/line == prevLast/line && first%line != 0
+			})
+		}},
+	// baseline: 126 rewrites of blocks 6-9, each start back in MAC line 0
+	// but inside the open counter line.
+	{"segment-start-inside-open-counter-line", []byte{1, 1, 2, 0, 1, 1, 1, 1, 1, 2, 0,
+		4, 1, 0, 1, 0x00, 0x06, 0x00, 0x03, 0,
+		3, 0x00, 0x10, 1, 0},
+		func(c *batchedFuzzCase) bool {
+			return c.scheme == memprot.Baseline && hasSegmentPair(c, func(prevLast, first uint64) bool {
+				return first/c.arity == prevLast/c.arity && first%c.arity != 0 && first/8 != prevLast/8
+			})
+		}},
+	// tnpu: three 16-block reads at 0, 37888, 0 — the third revisits MAC
+	// lines the second did not touch.
+	{"segment-revisits-earlier-line", []byte{1, 1, 2, 0, 2, 1, 1, 1, 1, 2, 0,
+		0, 1, 0, 1, 2, 0x00, 0x00, 0x03, 0xe8, 0x04, 0x00, 0x03, 0xe8, 0x00, 0x00, 0x03, 0xe8,
+		3, 0x00, 0x10, 1, 0},
+		func(c *batchedFuzzCase) bool { return c.scheme == memprot.TreeLess && hasLRURevisit(c) }},
+	// baseline: two 2001-byte reads at 37 and 9509, neither block-aligned.
+	{"unaligned-segment-start", []byte{1, 1, 2, 0, 1, 1, 1, 1, 1, 2, 0,
+		0, 1, 0, 1, 1, 0x00, 0x01, 0x07, 0xd0, 0x01, 0x01, 0x07, 0xd0,
+		3, 0x00, 0x10, 1, 0},
+		func(c *batchedFuzzCase) bool {
+			return c.scheme == memprot.Baseline && hasStreakInstr(c, func(in *isa.Instr) bool {
+				return in.Segments[len(in.Segments)-1].Addr%dram.BlockBytes != 0
+			})
+		}},
+	// tnpu: 126 one-block rewrites of block 5.
+	{"one-block-segment-run", []byte{1, 1, 2, 0, 2, 1, 1, 1, 1, 2, 0,
+		4, 1, 0, 1, 0x00, 0x05, 0x00, 0x00, 0,
+		3, 0x00, 0x10, 1, 0},
+		func(c *batchedFuzzCase) bool {
+			return c.scheme == memprot.TreeLess && hasStreakInstr(c, func(in *isa.Instr) bool {
+				ones := 0
+				for _, seg := range in.Segments {
+					if memprot.SegmentBlocks(seg.Addr&^(dram.BlockBytes-1), seg.Addr+seg.Bytes) == 1 {
+						if ones++; ones >= 24 {
+							return true
+						}
+					} else {
+						ones = 0
+					}
+				}
+				return false
+			})
+		}},
+	// baseline: 128 rewrites of blocks 16-19; block 16's 128th write, the
+	// last segment's first block, wraps its minor counter.
+	{"minor-wrap-at-segment-start", []byte{1, 1, 2, 0, 1, 1, 1, 1, 1, 2, 0,
+		4, 1, 0, 1, 0x00, 0x10, 0x00, 0x03, 2,
+		3, 0x00, 0x10, 1, 0},
+		func(c *batchedFuzzCase) bool { return c.scheme == memprot.Baseline && wrapsAtSegmentStart(c) }},
+	// tnpu on two channels: the revisit reads, served segment by segment.
+	{"two-channels-per-segment", []byte{1, 1, 2, 1, 2, 1, 1, 1, 1, 2, 0,
+		0, 1, 0, 1, 2, 0x00, 0x00, 0x03, 0xe8, 0x04, 0x00, 0x03, 0xe8, 0x00, 0x00, 0x03, 0xe8,
+		3, 0x00, 0x10, 1, 0},
+		func(c *batchedFuzzCase) bool {
+			return c.cfg.Mem.Channels == 2 && c.scheme != memprot.Unsecure &&
+				hasStreakInstr(c, func(in *isa.Instr) bool { return len(in.Segments) >= 2 })
+		}},
+}
+
+// instrBlocks returns the blocks the per-block reference serves for in.
+func instrBlocks(in *isa.Instr) uint64 {
+	var n uint64
+	for _, seg := range in.Segments {
+		n += memprot.SegmentBlocks(seg.Addr&^(dram.BlockBytes-1), seg.Addr+seg.Bytes)
+	}
+	return n
+}
+
+// hasStreakInstr reports whether some DMA instruction long enough for the
+// streak (on a single-channel bus) satisfies pred.
+func hasStreakInstr(c *batchedFuzzCase, pred func(in *isa.Instr) bool) bool {
+	for i := range c.prog.Trace.Instrs {
+		in := &c.prog.Trace.Instrs[i]
+		if in.IsDMA() && instrBlocks(in) >= 24 && pred(in) {
+			return true
+		}
+	}
+	return false
+}
+
+// hasSegmentPair reports whether a streak-length instruction on a single
+// channel has consecutive segments whose previous last block and next
+// first block satisfy pred.
+func hasSegmentPair(c *batchedFuzzCase, pred func(prevLast, first uint64) bool) bool {
+	return c.cfg.Mem.Channels == 1 && hasStreakInstr(c, func(in *isa.Instr) bool {
+		for k := 1; k < len(in.Segments); k++ {
+			prev, seg := in.Segments[k-1], in.Segments[k]
+			if pred((prev.Addr+prev.Bytes-1)/dram.BlockBytes, seg.Addr/dram.BlockBytes) {
+				return true
+			}
+		}
+		return false
+	})
+}
+
+// hasLRURevisit reports whether a streak-length instruction on a single
+// channel starts a segment in a MAC line an earlier segment touched but
+// the one just before it did not.
+func hasLRURevisit(c *batchedFuzzCase) bool {
+	line := func(b uint64) uint64 { return b * c.slot / dram.BlockBytes }
+	touched := func(seg isa.Segment, l uint64) bool {
+		return line(seg.Addr/dram.BlockBytes) <= l && l <= line((seg.Addr+seg.Bytes-1)/dram.BlockBytes)
+	}
+	return c.cfg.Mem.Channels == 1 && hasStreakInstr(c, func(in *isa.Instr) bool {
+		for k := 2; k < len(in.Segments); k++ {
+			l := line(in.Segments[k].Addr / dram.BlockBytes)
+			if touched(in.Segments[k-1], l) {
+				continue
+			}
+			for _, seg := range in.Segments[:k-1] {
+				if touched(seg, l) {
+					return true
+				}
+			}
+		}
+		return false
+	})
+}
+
+// wrapsAtSegmentStart replays the baseline's 7-bit minor counters over the
+// program's writes and reports whether one wraps on a segment's first
+// block of a streak-length instruction.
+func wrapsAtSegmentStart(c *batchedFuzzCase) bool {
+	minors := map[uint64]*[64]uint8{}
+	for i := range c.prog.Trace.Instrs {
+		in := &c.prog.Trace.Instrs[i]
+		if in.Op != isa.OpMvOut {
+			continue
+		}
+		long := instrBlocks(in) >= 24
+		for _, seg := range in.Segments {
+			first := seg.Addr / dram.BlockBytes
+			n := memprot.SegmentBlocks(seg.Addr&^(dram.BlockBytes-1), seg.Addr+seg.Bytes)
+			for b := first; b < first+n; b++ {
+				line := minors[b/c.arity]
+				if line == nil {
+					line = new([64]uint8)
+					minors[b/c.arity] = line
+				}
+				if line[b%c.arity]++; line[b%c.arity] == 128 {
+					if long && b == first {
+						return true
+					}
+					*line = [64]uint8{}
+				}
+			}
+		}
+	}
+	return false
+}
+
+// TestSegmentEdgeSeeds checks that every segment-edge fuzz seed agrees
+// with the per-block reference and reaches the edge it is named for, so
+// the seeds keep covering those edges as the generator evolves.
+func TestSegmentEdgeSeeds(t *testing.T) {
+	for _, s := range segmentEdgeSeeds {
+		t.Run(s.name, func(t *testing.T) {
+			c := decodeBatchedFuzz(s.data)
+			if !s.hit(&c) {
+				t.Fatalf("seed does not reach its edge (scheme %v, mem %+v)", c.scheme, c.cfg.Mem)
+			}
+			per := runPath(t, c.prog, c.scheme, c.cfg, c.mutate, false)
+			bat := runPath(t, c.prog, c.scheme, c.cfg, c.mutate, true)
+			if !reflect.DeepEqual(per, bat) {
+				t.Fatalf("divergence:\n  per-block: %+v\n  batched:   %+v", per, bat)
+			}
+		})
+	}
+}
+
 // FuzzBatchedVsPerBlock drives random traces, memory geometries, and
 // protection parameters through both execution paths and requires exact
 // agreement on every observable.
@@ -416,36 +697,15 @@ func FuzzBatchedVsPerBlock(f *testing.F) {
 	f.Add([]byte{7, 1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12, 13, 14, 15})
 	f.Add([]byte{0xff, 0x80, 0x41, 0x00, 0x13, 0x37, 0xca, 0xfe, 0x00, 0x01, 0x02, 0x03})
 	f.Add([]byte{3, 3, 3, 3, 200, 200, 200, 200, 9, 9, 9, 9, 9, 9, 9, 9, 9, 9})
+	for _, s := range segmentEdgeSeeds {
+		f.Add(s.data)
+	}
 	f.Fuzz(func(t *testing.T, data []byte) {
-		fr := &fuzzReader{data: data}
-		mem := dram.Config{
-			FreqHz:               []uint64{1_000_000_000, 2_750_000_000, 3_000_000_000}[fr.byte()%3],
-			BandwidthBytesPerSec: []uint64{7_000_000_000, 11_000_000_000, 22_000_000_000}[fr.byte()%3],
-			LatencyCycles:        []uint64{0, 10, 100}[fr.byte()%3],
-			Channels:             int(fr.byte()%4) + 1,
-		}
-		scheme := memprot.AllSchemes()[fr.byte()%4]
-		// Draw the protection knobs once: mutate runs twice (once per path)
-		// and must apply the identical configuration both times.
-		slot := []uint64{4, 8, 16, 24, 64}[fr.byte()%5]
-		arity := []uint64{8, 64}[fr.byte()%2]
-		mshrs := 1 + int(fr.byte()%2)
-		prefetch := fr.byte()%2 == 0
-		ctrBytes := []int{64, 256, 4 << 10}[fr.byte()%3]
-		mutate := func(c *memprot.Config) {
-			c.MACSlotBytes = slot
-			c.TreeArity = arity
-			c.WalkMSHRs = mshrs
-			c.CounterPrefetch = prefetch
-			c.CounterCacheBytes = ctrBytes
-		}
-		prog := buildFuzzProgram(fr)
-		cfg := SmallNPU()
-		cfg.Mem = mem
-		per := runPath(t, prog, scheme, cfg, mutate, false)
-		bat := runPath(t, prog, scheme, cfg, mutate, true)
+		c := decodeBatchedFuzz(data)
+		per := runPath(t, c.prog, c.scheme, c.cfg, c.mutate, false)
+		bat := runPath(t, c.prog, c.scheme, c.cfg, c.mutate, true)
 		if !reflect.DeepEqual(per, bat) {
-			t.Fatalf("divergence (scheme %v, mem %+v):\n  per-block: %+v\n  batched:   %+v", scheme, mem, per, bat)
+			t.Fatalf("divergence (scheme %v, mem %+v):\n  per-block: %+v\n  batched:   %+v", c.scheme, c.cfg.Mem, per, bat)
 		}
 	})
 }

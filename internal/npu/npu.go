@@ -128,12 +128,16 @@ type Machine struct {
 	blocksMoved uint64
 
 	// Per-NPU attribution counters (multi-NPU QoS stats): blocks served by
-	// direction, and how many engine-level run bursts served them. Blocks
-	// counts are execution-path invariant; runsServed is observability only
-	// (it differs between the per-block reference and the batched path).
+	// direction, and how many segments engine-level run bursts served.
+	// Blocks counts are execution-path invariant; runsServed is
+	// observability only (it differs between the per-block reference and
+	// the batched path).
 	blocksRead    uint64
 	blocksWritten uint64
 	runsServed    uint64
+	// engineRuns counts RunEngine calls — one per instruction the batched
+	// path served. Observability only, like the path block counters.
+	engineRuns uint64
 	// Blocks served by the joint co-tenant path, by whole-run bursts, and
 	// by ServeBlock. Observability only, like runsServed, and kept out of
 	// every persisted result.
@@ -181,6 +185,11 @@ var forcePerBlock atomic.Bool
 // ForcePerBlock globally selects the per-block reference path for machines
 // constructed after the call.
 func ForcePerBlock(on bool) { forcePerBlock.Store(on) }
+
+// PerBlockForced reports whether ForcePerBlock is in effect, for callers
+// outside the machine (end-to-end tensor I/O) that keep their own
+// per-block reference loops.
+func PerBlockForced() bool { return forcePerBlock.Load() }
 
 // SetBatched selects this machine's execution path (no-op force-off when
 // the engine lacks the batched interface). Both paths are cycle- and
@@ -334,13 +343,12 @@ func (m *Machine) ServeBlock() {
 	m.active = -1
 }
 
-// ServeRun serves every remaining block of the active DMA instruction —
-// whole runs per segment, bounded only by segment ends and the DMA issue
-// window (the engines iterate metadata-line streaks internally) — and
-// retires it. Callers must have obtained a ready time from NextReady
-// first. When the engine lacks the batched interface (or
-// SetBatched(false)), it steps the per-block reference path to the same
-// end state.
+// ServeRun serves every remaining block of the active DMA instruction in
+// one engine call — the engine streams across segment boundaries, bounded
+// only by the DMA issue window — and retires it. Callers must have
+// obtained a ready time from NextReady first. When the engine lacks the
+// batched interface (or SetBatched(false)), it steps the per-block
+// reference path to the same end state.
 func (m *Machine) ServeRun() {
 	if !m.batched {
 		for m.active >= 0 {
@@ -349,30 +357,26 @@ func (m *Machine) ServeRun() {
 		return
 	}
 	in := &m.prog.Trace.Instrs[m.active]
-	for {
-		n := int((m.segEnd - m.blockAddr + dram.BlockBytes - 1) / dram.BlockBytes)
-		var next, dataAt uint64
-		if in.Op == isa.OpMvIn {
-			next, dataAt = m.runEng.ReadRun(m.issueAt, m.blockAddr+m.dataOffset, in.Version, n, m.window)
-			m.blocksRead += uint64(n)
-		} else {
-			next, dataAt = m.runEng.WriteRun(m.issueAt, m.blockAddr+m.dataOffset, in.Version, n, m.window)
-			m.blocksWritten += uint64(n)
-		}
-		m.runsServed++
-		m.blocksMoved += uint64(n)
-		m.blocksBurst += uint64(n)
-		m.issueAt = next
-		if dataAt > m.maxDataAt {
-			m.maxDataAt = dataAt
-		}
-		m.segIdx++
-		if m.segIdx >= len(in.Segments) {
-			break
-		}
-		m.loadSegment()
+	segs := in.Segments[m.segIdx:]
+	var next, dataAt uint64
+	if in.Op == isa.OpMvIn {
+		next, dataAt = m.runEng.ReadRun(m.issueAt, segs, m.blockAddr, m.dataOffset, in.Version, m.window)
+		m.blocksRead += m.blocksLeft
+	} else {
+		next, dataAt = m.runEng.WriteRun(m.issueAt, segs, m.blockAddr, m.dataOffset, in.Version, m.window)
+		m.blocksWritten += m.blocksLeft
 	}
+	// runsServed keeps its per-segment meaning (NPUStats.Runs is persisted
+	// in cell results); engineRuns counts the calls.
+	m.runsServed += uint64(len(segs))
+	m.engineRuns++
+	m.blocksMoved += m.blocksLeft
+	m.blocksBurst += m.blocksLeft
 	m.blocksLeft = 0
+	m.issueAt = next
+	if dataAt > m.maxDataAt {
+		m.maxDataAt = dataAt
+	}
 	m.retire(m.active, m.maxDataAt)
 	m.dmaFree = m.issueAt
 	m.active = -1
@@ -585,9 +589,16 @@ func (m *Machine) BlocksRead() uint64 { return m.blocksRead }
 // BlocksWritten returns the blocks served on the write (mvout) path.
 func (m *Machine) BlocksWritten() uint64 { return m.blocksWritten }
 
-// RunsServed returns how many engine-level run bursts served this
-// machine's blocks — zero on the per-block reference path.
+// RunsServed returns how many DMA segments engine-level run bursts served
+// for this machine — zero on the per-block reference path. A burst serves
+// an instruction's remaining segments in one engine call; the count stays
+// per segment so persisted results keep their meaning.
 func (m *Machine) RunsServed() uint64 { return m.runsServed }
+
+// EngineRuns returns how many RunEngine calls served this machine's
+// bursts: one per DMA instruction the batched path served. Observability
+// only, like PathBlocks, and kept out of every persisted result.
+func (m *Machine) EngineRuns() uint64 { return m.engineRuns }
 
 // Utilization returns the PE array's busy fraction over the whole run —
 // the number protection overhead eats into (an unsecure-equal compute

@@ -167,13 +167,21 @@ func (s *Server) release() {
 }
 
 // cached looks key up through the disk cache, computing (under the job
-// queue and worker pool) on a miss.
+// queue and worker pool) on a miss. A computation that panics — an
+// internal invariant violation in the simulator — fails with an
+// exp.ErrInvariant error, which the handlers answer with HTTP 500; the
+// failure is not cached, so the next request recomputes.
 func (s *Server) cached(key string, compute func() ([]byte, error)) ([]byte, Source, error) {
-	return s.store.Get(key, func() ([]byte, error) {
+	return s.store.Get(key, func() (data []byte, err error) {
 		if err := s.acquire(); err != nil {
 			return nil, err
 		}
 		defer s.release()
+		defer func() {
+			if p := recover(); p != nil {
+				data, err = nil, exp.AsInvariant(p, key)
+			}
+		}()
 		return compute()
 	})
 }

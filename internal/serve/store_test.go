@@ -2,7 +2,10 @@ package serve
 
 import (
 	"bytes"
+	"errors"
 	"fmt"
+	"net/http"
+	"net/http/httptest"
 	"os"
 	"sync"
 	"testing"
@@ -346,5 +349,30 @@ func TestStoreRejectsInvalidKeys(t *testing.T) {
 		if _, _, err := s.Get(key, func() ([]byte, error) { return nil, nil }); err == nil {
 			t.Errorf("key %q accepted", key)
 		}
+	}
+}
+
+// TestCachedPanicIsInvariantError pins the service side of the invariant
+// contract: a computation that panics fails its request with an
+// exp.ErrInvariant error answered by HTTP 500, frees its job slot, caches
+// nothing, and the next request for the key recomputes.
+func TestCachedPanicIsInvariantError(t *testing.T) {
+	s, _ := newTestServer(t)
+	key := testKey("invariant")
+	_, _, err := s.cached(key, func() ([]byte, error) { panic("injected invariant violation") })
+	if !errors.Is(err, exp.ErrInvariant) {
+		t.Fatalf("cached returned %v, want an exp.ErrInvariant error", err)
+	}
+	if q := s.queued.Load(); q != 0 {
+		t.Errorf("%d jobs still queued after the panic", q)
+	}
+	rec := httptest.NewRecorder()
+	s.failCached(rec, err)
+	if rec.Code != http.StatusInternalServerError {
+		t.Errorf("failCached answered %d, want 500", rec.Code)
+	}
+	data, src, err := s.cached(key, func() ([]byte, error) { return []byte("ok"), nil })
+	if err != nil || string(data) != "ok" || src != SourceCompute {
+		t.Errorf("retry = (%q, %s, %v), want a fresh computation", data, src, err)
 	}
 }
